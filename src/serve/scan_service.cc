@@ -195,6 +195,61 @@ Status FirstError(std::span<const Status> statuses) {
   return Status::OK();
 }
 
+// One block of a request on the calling thread: deadline check, pin,
+// `run` against the pinned block (returning the rows it covered), and
+// the block's span (null when tracing is off; `columns` feeds its
+// scheme annotation). A failed pin lands on `status`; returns false
+// only when the deadline has expired, so the caller issues no more
+// blocks.
+template <typename Run>
+bool RunBlockInline(const TableReader& reader, size_t block,
+                    uint64_t deadline_ns, std::span<const size_t> columns,
+                    Status* status, obs::BlockSpan* span, const Run& run) {
+  if (deadline_ns != 0 && obs::MonotonicNs() > deadline_ns) {
+    *status = Status::DeadlineExceeded("deadline expired before block scan");
+    return false;
+  }
+  const uint64_t t_task = span != nullptr ? obs::MonotonicNs() : 0;
+  BlockFetchStats fetch;
+  auto handle = reader.GetBlock(block, span != nullptr ? &fetch : nullptr);
+  if (!handle.ok()) {
+    *status = handle.status();
+    return true;
+  }
+  const uint64_t t_pinned = span != nullptr ? obs::MonotonicNs() : 0;
+  const uint64_t rows = run(*handle.value());
+  if (span != nullptr) {
+    const uint64_t t_done = obs::MonotonicNs();
+    span->block = static_cast<uint32_t>(block);
+    span->rows = rows;
+    span->cache_hit = !fetch.miss;
+    span->retried = fetch.retries > 0;
+    span->queue_ns = 0;
+    span->fill_ns = fetch.fill_ns;
+    const uint64_t pin_total = t_pinned - t_task;
+    span->pin_ns = pin_total > fetch.fill_ns ? pin_total - fetch.fill_ns : 0;
+    span->decode_ns = t_done - t_pinned;
+    span->schemes = SchemesAnnotation(*handle.value(), columns);
+  }
+  return true;
+}
+
+// Sums the per-block spans into the request's phase totals and files
+// them on the trace.
+void AttachSpans(std::vector<obs::BlockSpan> spans, obs::RequestTrace* trace) {
+  auto phase = [trace](obs::Phase p) -> uint64_t& {
+    return trace->phase_ns[static_cast<size_t>(p)];
+  };
+  for (const obs::BlockSpan& span : spans) {
+    phase(obs::Phase::kQueueWait) += span.queue_ns;
+    phase(obs::Phase::kCachePin) += span.pin_ns;
+    phase(obs::Phase::kMissFill) += span.fill_ns;
+    phase(obs::Phase::kDecodeFilter) += span.decode_ns;
+    phase(obs::Phase::kScatter) += span.scatter_ns;
+  }
+  trace->blocks = std::move(spans);
+}
+
 }  // namespace
 
 ScanService::ScanService() : ScanService(Options{}) {}
@@ -344,7 +399,6 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
   // All telemetry below keys off this one gate: with observability off
   // the request takes zero clock reads and allocates no spans.
   const bool tracing = obs::Enabled();
-  const bool pooled = !workers_.empty();
   const uint64_t t_start = tracing ? obs::MonotonicNs() : 0;
   obs::RequestTrace trace;
   trace.op = "execute";
@@ -383,49 +437,29 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
   }
   const uint64_t t_built = tracing ? obs::MonotonicNs() : 0;
 
-  if (!pooled) {
-    // Inline execution on the calling thread: no queue, no coalescing,
-    // no read-ahead — the front door only exists for pooled services.
-    // The deadline is still honored between blocks.
+  if (workers_.empty() || runnable.size() <= 1) {
+    // At most one block to scan (or no pool): run on the calling
+    // thread. No queue, no coalescing, no read-ahead; the deadline is
+    // still honored between blocks.
     for (size_t b : runnable) {
-      if (request.deadline_ns != 0 &&
-          obs::MonotonicNs() > request.deadline_ns) {
-        partials[b].status =
-            Status::DeadlineExceeded("deadline expired during scan");
+      BlockPartial* partial = &partials[b];
+      const auto run = [&](const Block& block) {
+        ScanOneBlock(block, reader.block_row_offsets()[b], request, partial);
+        return partial->rows_scanned;
+      };
+      if (!RunBlockInline(reader, b, request.deadline_ns, touched,
+                          &partial->status, tracing ? &spans[b] : nullptr,
+                          run)) {
         break;
-      }
-      obs::BlockSpan* span = tracing ? &spans[b] : nullptr;
-      const uint64_t t_task = tracing ? obs::MonotonicNs() : 0;
-      BlockFetchStats fetch;
-      auto handle = reader.GetBlock(b, span != nullptr ? &fetch : nullptr);
-      if (!handle.ok()) {
-        partials[b].status = handle.status();
-        continue;
-      }
-      const uint64_t t_pinned = tracing ? obs::MonotonicNs() : 0;
-      ScanOneBlock(*handle.value(), reader.block_row_offsets()[b], request,
-                   &partials[b]);
-      if (span != nullptr) {
-        const uint64_t t_done = obs::MonotonicNs();
-        span->block = static_cast<uint32_t>(b);
-        span->rows = partials[b].rows_scanned;
-        span->cache_hit = !fetch.miss;
-        span->retried = fetch.retries > 0;
-        span->queue_ns = 0;
-        span->fill_ns = fetch.fill_ns;
-        const uint64_t pin_total = t_pinned - t_task;
-        span->pin_ns = pin_total > fetch.fill_ns ? pin_total - fetch.fill_ns : 0;
-        span->decode_ns = t_done - t_pinned;
-        span->schemes = SchemesAnnotation(*handle.value(), touched);
       }
     }
   } else {
-    // Pooled: every runnable block becomes one coalescer unit. Blocks
-    // this request leads get one executor task each; blocks another
-    // in-flight request already opened a batch for are served off that
-    // request's pin for free.
+    // Pooled multi-block: every runnable block becomes one coalescer
+    // unit. Blocks this request leads get one executor task each;
+    // blocks another in-flight request already opened a batch for are
+    // served off that request's pin for free.
     std::unique_ptr<ReadAhead::Session> session;
-    if (read_ahead_ != nullptr && runnable.size() > 1) {
+    if (read_ahead_ != nullptr) {
       session = read_ahead_->Start(reader, runnable);
     }
     auto completion = std::make_shared<Completion>(runnable.size());
@@ -525,32 +559,16 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
   if (tracing) {
     trace.rows_scanned = result.rows_scanned;
     trace.rows_matched = result.rows_matched;
-    auto phase = [&trace](obs::Phase p) -> uint64_t& {
-      return trace.phase_ns[static_cast<size_t>(p)];
-    };
-    phase(obs::Phase::kBlockPrune) = t_built - t_start;
-    phase(obs::Phase::kMerge) = obs::MonotonicNs() - t_merge;
-    for (const obs::BlockSpan& span : spans) {
-      phase(obs::Phase::kQueueWait) += span.queue_ns;
-      phase(obs::Phase::kCachePin) += span.pin_ns;
-      phase(obs::Phase::kMissFill) += span.fill_ns;
-      phase(obs::Phase::kDecodeFilter) += span.decode_ns;
-      phase(obs::Phase::kScatter) += span.scatter_ns;
-    }
-    trace.blocks = std::move(spans);
+    trace.phase_ns[static_cast<size_t>(obs::Phase::kBlockPrune)] =
+        t_built - t_start;
+    trace.phase_ns[static_cast<size_t>(obs::Phase::kMerge)] =
+        obs::MonotonicNs() - t_merge;
+    AttachSpans(std::move(spans), &trace);
     metrics_.requests->Increment();
     FinishRequest(std::move(trace), t_start,
                   request.collect_trace ? &result.trace.emplace() : nullptr);
   }
   return result;
-}
-
-Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
-    const TableReader& reader, std::span<const size_t> columns,
-    std::span<const uint64_t> rows, obs::RequestTrace* trace_out) {
-  GatherOptions options;
-  options.trace = trace_out;
-  return Gather(reader, columns, rows, options);
 }
 
 Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
@@ -569,7 +587,6 @@ Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
   } slot{this};
 
   const bool tracing = obs::Enabled();
-  const bool pooled = !workers_.empty();
   const uint64_t t_start = tracing ? obs::MonotonicNs() : 0;
 
   CORRA_ASSIGN_OR_RETURN(
@@ -586,45 +603,26 @@ Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
     spans.resize(slices.size());
   }
 
-  if (!pooled) {
+  if (workers_.empty() || slices.size() <= 1) {
+    // At most one block slice (or no pool): on the calling thread, as
+    // in Execute.
     for (size_t s = 0; s < slices.size(); ++s) {
-      if (options.deadline_ns != 0 &&
-          obs::MonotonicNs() > options.deadline_ns) {
-        statuses[s] = Status::DeadlineExceeded("deadline expired during gather");
-        break;
-      }
-      obs::BlockSpan* span = tracing ? &spans[s] : nullptr;
       const query::SelectionSlice& slice = slices[s];
-      const uint64_t t_task = tracing ? obs::MonotonicNs() : 0;
-      BlockFetchStats fetch;
-      auto handle =
-          reader.GetBlock(slice.block, span != nullptr ? &fetch : nullptr);
-      if (!handle.ok()) {
-        statuses[s] = handle.status();
-        continue;
-      }
-      const uint64_t t_pinned = tracing ? obs::MonotonicNs() : 0;
-      for (size_t c = 0; c < columns.size(); ++c) {
-        query::ScanColumn(*handle.value(), columns[c], slice.local_rows,
-                          out[c].data() + slice.out_offset);
-      }
-      if (span != nullptr) {
-        const uint64_t t_done = obs::MonotonicNs();
-        span->block = static_cast<uint32_t>(slice.block);
-        span->rows = slice.local_rows.size();
-        span->cache_hit = !fetch.miss;
-        span->retried = fetch.retries > 0;
-        span->queue_ns = 0;
-        span->fill_ns = fetch.fill_ns;
-        const uint64_t pin_total = t_pinned - t_task;
-        span->pin_ns = pin_total > fetch.fill_ns ? pin_total - fetch.fill_ns : 0;
-        span->decode_ns = t_done - t_pinned;
-        span->schemes = SchemesAnnotation(*handle.value(), columns);
+      const auto run = [&](const Block& block) {
+        for (size_t c = 0; c < columns.size(); ++c) {
+          query::ScanColumn(block, columns[c], slice.local_rows,
+                            out[c].data() + slice.out_offset);
+        }
+        return static_cast<uint64_t>(slice.local_rows.size());
+      };
+      if (!RunBlockInline(reader, slice.block, options.deadline_ns, columns,
+                          &statuses[s], tracing ? &spans[s] : nullptr, run)) {
+        break;
       }
     }
   } else {
     std::unique_ptr<ReadAhead::Session> session;
-    if (read_ahead_ != nullptr && slices.size() > 1) {
+    if (read_ahead_ != nullptr) {
       std::vector<size_t> blocks;
       blocks.reserve(slices.size());
       for (const query::SelectionSlice& slice : slices) {
@@ -670,19 +668,7 @@ Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
     trace.op = "gather";
     trace.rows_scanned = rows.size();
     trace.rows_matched = rows.size();
-    for (const obs::BlockSpan& span : spans) {
-      trace.phase_ns[static_cast<size_t>(obs::Phase::kQueueWait)] +=
-          span.queue_ns;
-      trace.phase_ns[static_cast<size_t>(obs::Phase::kCachePin)] +=
-          span.pin_ns;
-      trace.phase_ns[static_cast<size_t>(obs::Phase::kMissFill)] +=
-          span.fill_ns;
-      trace.phase_ns[static_cast<size_t>(obs::Phase::kDecodeFilter)] +=
-          span.decode_ns;
-      trace.phase_ns[static_cast<size_t>(obs::Phase::kScatter)] +=
-          span.scatter_ns;
-    }
-    trace.blocks = std::move(spans);
+    AttachSpans(std::move(spans), &trace);
     metrics_.gather_requests->Increment();
     metrics_.gather_rows->Add(rows.size());
     FinishRequest(std::move(trace), t_start, options.trace);

@@ -21,19 +21,26 @@
 // Requests must come from outside the pool: a block task must not
 // call back into Execute/Gather, or the pool can deadlock on itself.
 //
-// The front door (pooled services only; inline execution bypasses it):
-//  * Coalescing — concurrent requests whose row sets land in the same
-//    block batch into one shared pin and one merged, deduplicated
-//    gather per block (src/serve/coalescer.h); results stay
-//    byte-identical to independent execution. Disable per service with
-//    Options::coalescing = false (the A/B lever the closed-loop bench
-//    uses).
+// Routing: a request with at most one block to touch (after stats
+// pruning, or after splitting a gather's rows by block) runs on the
+// calling thread, even on a pooled service — no queue handoff, no
+// coalescing, no read-ahead. Only requests with two or more blocks fan
+// out to the pool.
+//
+// The front door. Admission control applies to every request; the
+// rest only to multi-block requests on a pooled service:
 //  * Admission control — Options::max_inflight_requests bounds the
 //    requests in flight; arrivals past the bound are rejected with
 //    ResourceExhausted ("serve.rejected") instead of queueing without
 //    bound, and a request whose ScanRequest::deadline_ns has already
 //    passed is rejected with DeadlineExceeded ("serve.deadline_missed")
 //    before touching any block. Degrade, don't collapse.
+//  * Coalescing — concurrent requests whose row sets land in the same
+//    block batch into one shared pin and one merged, deduplicated
+//    gather per block (src/serve/coalescer.h); results stay
+//    byte-identical to independent execution. Disable per service with
+//    Options::coalescing = false (the A/B lever the closed-loop bench
+//    uses).
 //  * Read-ahead — a prefetch thread (src/serve/read_ahead.h) issues the
 //    request's block fetches in scan order ahead of the workers, so for
 //    sequential scans miss_fill moves off the critical path and workers
@@ -171,8 +178,9 @@ struct ScanResult {
 class ScanService {
  public:
   struct Options {
-    /// Worker threads shared by all requests; 0 runs block tasks inline
-    /// on the calling thread.
+    /// Worker threads shared by all multi-block requests; 0 runs every
+    /// request on the calling thread. Single-block requests run on the
+    /// calling thread either way.
     size_t num_threads = 4;
 
     /// Registry receiving the serving histograms and counters
@@ -187,8 +195,9 @@ class ScanService {
     size_t slow_trace_capacity = 32;
 
     /// Batch concurrent requests touching the same block into one pin +
-    /// one merged gather (pooled services only; inline execution never
-    /// coalesces). Results are byte-identical either way.
+    /// one merged gather (multi-block requests on a pooled service only;
+    /// a request run on the calling thread never coalesces). Results
+    /// are byte-identical either way.
     bool coalescing = true;
 
     /// Reject (ResourceExhausted) requests arriving while this many are
@@ -196,7 +205,8 @@ class ScanService {
     size_t max_inflight_requests = 0;
 
     /// Prefetch a request's blocks in scan order on a background thread
-    /// (pooled services only), so workers mostly pin resident blocks.
+    /// (multi-block requests on a pooled service only), so workers
+    /// mostly pin resident blocks.
     bool read_ahead = true;
   };
 
@@ -207,34 +217,29 @@ class ScanService {
   ScanService& operator=(const ScanService&) = delete;
 
   /// Runs `request` over every block of `reader`, fanning blocks out to
-  /// the pool and merging partial results in block order.
+  /// the pool (or running a single-block request on the calling
+  /// thread) and merging partial results in block order.
   Result<ScanResult> Execute(const TableReader& reader,
                              const ScanRequest& request);
 
   /// Materializes `columns` at the sorted global positions `rows`,
   /// touching (and caching) only the blocks that own selected rows.
-  /// Each block slice goes through query::ScanColumn's sparse/dense
-  /// strategy split — positioned GatherRange kernels below the
-  /// selectivity crossover, dense ranged decode above it — so gather
-  /// requests never round-trip through a per-row virtual Get. Tables
-  /// that serve mostly this path should be compressed with
+  /// Rows that all fall in one block are gathered on the calling
+  /// thread. Each block slice goes through query::ScanColumn's
+  /// sparse/dense strategy split — positioned GatherRange kernels below
+  /// the selectivity crossover, dense ranged decode above it — so
+  /// gather requests never round-trip through a per-row virtual Get.
+  /// Tables that serve mostly this path should be compressed with
   /// CompressionPlan::workload = WorkloadHint::kPointServing: Delta
   /// columns then carry inline checkpoints, making each sparse access
   /// one contiguous window touch instead of checkpoint-array + stream.
-  /// Returns one value vector per requested column. With a non-null
-  /// `trace` (and observability enabled), fills it with the request's
-  /// full attribution, like ScanRequest::collect_trace does for
-  /// Execute.
+  /// Returns one value vector per requested column. `options` carries
+  /// the deadline and, with a non-null trace (and observability
+  /// enabled), the sink for the request's full attribution, like
+  /// ScanRequest::collect_trace does for Execute.
   Result<std::vector<std::vector<int64_t>>> Gather(
       const TableReader& reader, std::span<const size_t> columns,
-      std::span<const uint64_t> rows,
-      obs::RequestTrace* trace = nullptr);
-
-  /// Gather with per-call options (deadline + trace sink). The
-  /// trace-pointer overload above forwards here.
-  Result<std::vector<std::vector<int64_t>>> Gather(
-      const TableReader& reader, std::span<const size_t> columns,
-      std::span<const uint64_t> rows, const GatherOptions& options);
+      std::span<const uint64_t> rows, const GatherOptions& options = {});
 
   size_t num_threads() const { return workers_.size(); }
 

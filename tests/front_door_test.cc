@@ -1,7 +1,10 @@
-// Serving front door: cross-request block coalescing stays
-// byte-identical to independent execution across every encoding scheme,
-// admission control fast-rejects over-limit and expired requests, and
-// phase attribution never double-charges a piggybacked request.
+// Serving front door: single-block requests run on the caller's thread
+// (identical results and failures to an inline service, never queued or
+// coalesced), cross-request block coalescing of multi-block requests
+// stays byte-identical to independent execution across every encoding
+// scheme, admission control fast-rejects over-limit and expired
+// requests, and phase attribution never double-charges a piggybacked
+// request.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/random.h"
 #include "core/corra_compressor.h"
 #include "serve/block_cache.h"
@@ -38,6 +42,12 @@ class FrontDoorTest : public ::testing::Test {
 #else
     obs::SetEnabled(true);
 #endif
+    WriteTable();
+  }
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  void WriteTable() {
     path_ = ::testing::TempDir() + "corra_front_door_test.corf";
     Rng rng(77);
     raw_.assign(kColumns, std::vector<int64_t>(kRows));
@@ -99,8 +109,6 @@ class FrontDoorTest : public ::testing::Test {
     ASSERT_TRUE(WriteCompressedTable(compressed.value(), path_).ok());
   }
 
-  void TearDown() override { std::remove(path_.c_str()); }
-
   // Random sorted-unique global positions; roughly `per_block` rows per
   // covered block so selections overlap across concurrent callers.
   std::vector<uint64_t> RandomPositions(Rng& rng, size_t count) const {
@@ -111,6 +119,44 @@ class FrontDoorTest : public ::testing::Test {
     std::sort(rows.begin(), rows.end());
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     return rows;
+  }
+
+  // Sorted-unique positions that all fall inside block `block`.
+  std::vector<uint64_t> BlockPositions(Rng& rng, size_t block,
+                                       size_t count) const {
+    std::vector<uint64_t> rows(count);
+    for (auto& row : rows) {
+      row = block * kBlockRows +
+            static_cast<uint64_t>(rng.Uniform(0, kBlockRows - 1));
+    }
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    return rows;
+  }
+
+  // Distinct blocks a sorted position list touches.
+  static size_t BlocksTouched(const std::vector<uint64_t>& rows) {
+    size_t blocks = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (i == 0 || rows[i] / kBlockRows != rows[i - 1] / kBlockRows) {
+        ++blocks;
+      }
+    }
+    return blocks;
+  }
+
+  // A filtered scan whose predicate on the monotone `seq` column
+  // survives stats pruning in `block` only.
+  ScanRequest SingleBlockScan(size_t block) const {
+    ScanRequest request;
+    request.filter_column = 7;
+    request.filter_lo = raw_[7][block * kBlockRows + 100];
+    request.filter_hi = raw_[7][block * kBlockRows + 700];
+    request.project_columns = {1, 6, 9};
+    request.return_positions = true;
+    request.aggregate = AggregateOp::kSum;
+    request.aggregate_column = 4;
+    return request;
   }
 
   std::string path_;
@@ -142,6 +188,10 @@ TEST_F(FrontDoorTest, ConcurrentGathersAreByteIdenticalUnderCoalescing) {
         Rng rng(1000 + round * kThreads + t);
         for (size_t iter = 0; iter < 10; ++iter) {
           const std::vector<uint64_t> rows = RandomPositions(rng, 600);
+          if (BlocksTouched(rows) < 2) {
+            failures.fetch_add(1);  // Would bypass the coalescer.
+            return;
+          }
           // A different column subset per caller, always non-empty, so
           // merged batches carry heterogeneous column unions.
           std::vector<size_t> cols;
@@ -200,6 +250,10 @@ TEST_F(FrontDoorTest, CoalescingDisabledStaysCorrectAndNeverBatches) {
       Rng rng(500 + t);
       for (size_t iter = 0; iter < 10; ++iter) {
         const std::vector<uint64_t> rows = RandomPositions(rng, 400);
+        if (BlocksTouched(rows) < 2) {
+          failures.fetch_add(1);  // Would bypass the pool entirely.
+          return;
+        }
         const std::vector<size_t> cols = {t % kColumns,
                                           (t + 5) % kColumns};
         auto result = service.Gather(*reader.value(), cols, rows);
@@ -251,6 +305,10 @@ TEST_F(FrontDoorTest, ConcurrentExecutesMatchInlineService) {
     auto result = inline_service.Execute(*reader.value(), request_for(t));
     ASSERT_TRUE(result.ok());
     expected[t] = std::move(result).value();
+    // Matches in several blocks, so the pooled run fans out.
+    ASSERT_FALSE(expected[t].positions.empty());
+    ASSERT_NE(expected[t].positions.front() / kBlockRows,
+              expected[t].positions.back() / kBlockRows);
   }
 
   std::atomic<size_t> failures{0};
@@ -408,6 +466,7 @@ TEST_F(FrontDoorTest, PiggybackedGathersAreNotChargedForSharedWork) {
       threads.emplace_back([&, t, round] {
         Rng rng(3000 + round * 4 + t);
         const std::vector<uint64_t> rows = RandomPositions(rng, 300);
+        ASSERT_GE(BlocksTouched(rows), 2u);  // Else it never queues.
         const std::vector<size_t> cols = {t % kColumns, 8};
         obs::RequestTrace trace;
         GatherOptions options;
@@ -481,6 +540,213 @@ TEST_F(FrontDoorTest, ReadAheadColdScanStaysExactAndSingleFlight) {
   EXPECT_EQ(stats.misses,
             stats.cached_blocks + stats.loading_blocks + stats.evictions +
                 stats.failed_loads + stats.erased_blocks);
+}
+
+
+bool SameScan(const ScanResult& a, const ScanResult& b) {
+  return a.rows_scanned == b.rows_scanned &&
+         a.rows_matched == b.rows_matched &&
+         a.blocks_skipped == b.blocks_skipped && a.positions == b.positions &&
+         a.columns == b.columns && a.agg_sum == b.agg_sum &&
+         a.agg_min == b.agg_min && a.agg_max == b.agg_max;
+}
+
+// True when exactly one block did work and its span shows neither a
+// queue handoff nor coalescing (the caller's-thread path).
+bool RanOnCallersThread(const obs::RequestTrace& trace) {
+  size_t worked = 0;
+  for (const obs::BlockSpan& span : trace.blocks) {
+    if (span.pruned) {
+      continue;
+    }
+    ++worked;
+    if (span.queue_ns != 0 || span.coalesced) {
+      return false;
+    }
+  }
+  return worked == 1;
+}
+
+// Single-block gathers and single-block filtered scans from many
+// concurrent callers run on the caller's thread even on a pooled
+// service: results match an inline service exactly, no span waits in a
+// queue or coalesces, and the coalescer never engages. A multi-block
+// request on the same service still fans out to the pool.
+TEST_F(FrontDoorTest, SingleBlockRequestsRunOnCallersThread) {
+  obs::Registry registry;
+  auto cache = std::make_shared<BlockCache>(
+      BlockCacheOptions{.registry = &registry});
+  auto reader = TableReader::Open(path_, cache);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ScanService pooled({.num_threads = 4, .registry = &registry});
+  obs::Registry inline_registry;
+  ScanService inline_service(
+      {.num_threads = 0, .registry = &inline_registry});
+
+  constexpr size_t kThreads = 8;
+  constexpr size_t kBlocks = kRows / kBlockRows;
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(7000 + t);
+      for (size_t iter = 0; iter < 25; ++iter) {
+        const size_t block = static_cast<size_t>(rng.Uniform(0, kBlocks - 1));
+        const std::vector<uint64_t> rows = BlockPositions(rng, block, 128);
+        const std::vector<size_t> cols = {(t + iter) % kColumns, 1};
+        obs::RequestTrace trace;
+        auto got =
+            pooled.Gather(*reader.value(), cols, rows, {.trace = &trace});
+        auto want = inline_service.Gather(*reader.value(), cols, rows);
+        if (!got.ok() || !want.ok() || got.value() != want.value() ||
+            !RanOnCallersThread(trace)) {
+          failures.fetch_add(1);
+          return;
+        }
+
+        ScanRequest request = SingleBlockScan(block);
+        request.collect_trace = true;
+        auto scanned = pooled.Execute(*reader.value(), request);
+        auto expected = inline_service.Execute(*reader.value(), request);
+        if (!scanned.ok() || !expected.ok() ||
+            !SameScan(scanned.value(), expected.value()) ||
+            scanned.value().blocks_skipped != kBlocks - 1 ||
+            !scanned.value().trace ||
+            !RanOnCallersThread(*scanned.value().trace)) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(registry.counter("serve.coalesced_requests").Value(), 0u);
+  EXPECT_EQ(registry.counter("serve.coalesced_batches").Value(), 0u);
+
+  Rng rng(7100);
+  const std::vector<uint64_t> rows = RandomPositions(rng, 600);
+  ASSERT_GE(BlocksTouched(rows), 2u);
+  const std::vector<size_t> cols = {0, 7};
+  obs::RequestTrace trace;
+  auto multi = pooled.Gather(*reader.value(), cols, rows, {.trace = &trace});
+  ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+  EXPECT_TRUE(std::any_of(
+      trace.blocks.begin(), trace.blocks.end(),
+      [](const obs::BlockSpan& span) { return span.queue_ns > 0; }))
+      << "multi-block gather never went through the pool";
+}
+
+// The caller's-thread path fails exactly as the inline service does.
+// Each run gets its own cache, so a failed load's quarantine on one
+// service cannot shape what the other sees. These compare Status and
+// failed_blocks only, so unlike the fixture above they also run with
+// observability compiled out.
+class SingleBlockFailureTest : public FrontDoorTest {
+ protected:
+  void SetUp() override { WriteTable(); }
+
+  Result<ScanResult> Execute(size_t num_threads, const ScanRequest& request) {
+    auto cache = std::make_shared<BlockCache>();
+    auto reader = TableReader::Open(path_, cache);
+    if (!reader.ok()) {
+      return reader.status();
+    }
+    ScanService service({.num_threads = num_threads});
+    return service.Execute(*reader.value(), request);
+  }
+
+  // `deadline_in_ns` (0 = none) starts counting once the service is
+  // up, right before the call.
+  Status Gather(size_t num_threads, std::span<const uint64_t> rows,
+                uint64_t deadline_in_ns) {
+    auto cache = std::make_shared<BlockCache>();
+    auto reader = TableReader::Open(path_, cache);
+    if (!reader.ok()) {
+      return reader.status();
+    }
+    ScanService service({.num_threads = num_threads});
+    const std::vector<size_t> cols = {0, 1};
+    const uint64_t deadline_ns =
+        deadline_in_ns == 0 ? 0 : obs::MonotonicNs() + deadline_in_ns;
+    return service
+        .Gather(*reader.value(), cols, rows, {.deadline_ns = deadline_ns})
+        .status();
+  }
+};
+
+TEST_F(SingleBlockFailureTest, LoadErrorFailsTheSameWay) {
+  if (!fail::CompiledIn()) {
+    GTEST_SKIP() << "failpoints compiled out (CORRA_FAILPOINTS_OFF)";
+  }
+  fail::ScopedFailpoint fp("cache.load_error", "every:1");
+  ASSERT_TRUE(fp.status().ok());
+
+  const ScanRequest request = SingleBlockScan(3);
+  const auto pooled = Execute(4, request);
+  const auto inline_run = Execute(0, request);
+  ASSERT_FALSE(pooled.ok());
+  EXPECT_TRUE(pooled.status().IsIOError()) << pooled.status().ToString();
+  EXPECT_EQ(pooled.status().ToString(), inline_run.status().ToString());
+
+  Rng rng(11);
+  const std::vector<uint64_t> rows = BlockPositions(rng, 3, 64);
+  const Status pooled_gather = Gather(4, rows, 0);
+  EXPECT_TRUE(pooled_gather.IsIOError()) << pooled_gather.ToString();
+  EXPECT_EQ(pooled_gather.ToString(), Gather(0, rows, 0).ToString());
+}
+
+TEST_F(SingleBlockFailureTest, LoadErrorUnderAllowPartialDegradesTheSameWay) {
+  if (!fail::CompiledIn()) {
+    GTEST_SKIP() << "failpoints compiled out (CORRA_FAILPOINTS_OFF)";
+  }
+  fail::ScopedFailpoint fp("cache.load_error", "every:1");
+  ASSERT_TRUE(fp.status().ok());
+
+  ScanRequest request = SingleBlockScan(3);
+  request.allow_partial = true;
+  const auto pooled = Execute(4, request);
+  const auto inline_run = Execute(0, request);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  ASSERT_TRUE(inline_run.ok()) << inline_run.status().ToString();
+  ASSERT_EQ(pooled.value().failed_blocks.size(), 1u);
+  ASSERT_EQ(inline_run.value().failed_blocks.size(), 1u);
+  const ScanResult::BlockError& got = pooled.value().failed_blocks[0];
+  const ScanResult::BlockError& want = inline_run.value().failed_blocks[0];
+  EXPECT_EQ(got.block, 3u);
+  EXPECT_EQ(got.block, want.block);
+  EXPECT_TRUE(got.status.IsIOError()) << got.status.ToString();
+  EXPECT_EQ(got.status.ToString(), want.status.ToString());
+  EXPECT_TRUE(SameScan(pooled.value(), inline_run.value()));
+  EXPECT_EQ(pooled.value().rows_matched, 0u);
+}
+
+// A deadline that passes after admission but before the block is
+// pinned. Splitting a million duplicate positions takes milliseconds
+// after admission, so a deadline a few microseconds out expires in
+// that gap; a run preempted long enough to miss admission itself is
+// retried with a longer margin.
+TEST_F(SingleBlockFailureTest, DeadlineAfterAdmissionFailsTheSameWay) {
+  const std::vector<uint64_t> rows(1'000'000, 3 * kBlockRows + 17);
+  auto expire_after_admission = [&](size_t num_threads) {
+    Status status;
+    for (uint64_t margin_ns = 50'000; margin_ns <= 1'600'000;
+         margin_ns *= 2) {
+      status = Gather(num_threads, rows, margin_ns);
+      if (status.message().find("admission") == std::string::npos) {
+        break;
+      }
+    }
+    return status;
+  };
+  const Status pooled = expire_after_admission(4);
+  const Status inline_run = expire_after_admission(0);
+  EXPECT_TRUE(pooled.IsDeadlineExceeded()) << pooled.ToString();
+  EXPECT_EQ(pooled.message().find("admission"), std::string::npos)
+      << pooled.ToString();
+  EXPECT_EQ(pooled.ToString(), inline_run.ToString());
 }
 
 }  // namespace
