@@ -1,5 +1,7 @@
 #include "common/bit_stream.h"
 
+#include <algorithm>
+
 #include "common/bit_util.h"
 #include "common/simd/simd.h"
 
@@ -56,6 +58,26 @@ void BitReader::DecodeRange(size_t begin, size_t count,
   // 64-value unpackers (AVX2 under runtime dispatch, unrolled scalar
   // otherwise) for widths <= 32, sequential-cursor decode above that.
   simd::UnpackRange(data_, bit_width_, begin, count, out);
+}
+
+bool BitReader::AllBelow(uint64_t limit) const {
+  if (count_ == 0 || (bit_width_ < 64 && limit >> bit_width_ != 0)) {
+    return true;  // Every bit_width_-bit value is below `limit`.
+  }
+  constexpr size_t kChunk = 1024;  // 8 KB of unpacked values: L1-resident.
+  uint64_t values[kChunk];
+  for (size_t begin = 0; begin < count_; begin += kChunk) {
+    const size_t len = std::min(kChunk, count_ - begin);
+    simd::UnpackRange(data_, bit_width_, begin, len, values);
+    uint64_t over = 0;
+    for (size_t i = 0; i < len; ++i) {
+      over |= static_cast<uint64_t>(values[i] >= limit);
+    }
+    if (over != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace corra

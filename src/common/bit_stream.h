@@ -50,10 +50,11 @@ class BitReader {
  public:
   BitReader() = default;
 
-  /// `data` must stay alive while the reader is used and must include
-  /// the bit_util::kDecodePadBytes of readable slack that
-  /// BitWriter::Finish appends (the SIMD unpack kernels behind
-  /// DecodeRange issue full 32-byte loads near the payload end).
+  /// `data` must stay alive while the reader is used and must be
+  /// followed by bit_util::kDecodePadBytes of readable slack (the SIMD
+  /// unpack kernels behind DecodeRange issue full 32-byte loads near the
+  /// payload end): the zeros BitWriter::Finish appends, or the block
+  /// buffer bytes after a loaded payload. Their content is never used.
   BitReader(const uint8_t* data, int bit_width, size_t count)
       : data_(data), bit_width_(bit_width), count_(count) {}
 
@@ -86,8 +87,14 @@ class BitReader {
   /// ranged building block of the morsel decode pipeline: a thin wrapper
   /// over the SIMD kernel layer's per-bit-width unpackers (see
   /// common/simd/simd.h). `data` must carry bit_util::kDecodePadBytes of
-  /// readable slack, as BitWriter::Finish and every Deserialize ensure.
+  /// readable slack (see the constructor).
   void DecodeRange(size_t begin, size_t count, uint64_t* out) const;
+
+  /// True iff every value in the stream is below `limit`. Deserialize
+  /// bounds stored codes against their table with it: free when no
+  /// bit_width()-bit value can reach `limit`, otherwise one pass of
+  /// chunked SIMD unpacks and a branch-free compare.
+  bool AllBelow(uint64_t limit) const;
 
   size_t size() const { return count_; }
   int bit_width() const { return bit_width_; }

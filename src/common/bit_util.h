@@ -41,12 +41,17 @@ constexpr size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
 /// Readable slack bytes every decodable bit-packed buffer carries past
 /// its payload. 32 bytes, not 8: the AVX2 unpack kernels issue full
 /// 32-byte vector loads whose tails may cross the last packed byte (the
-/// scalar path only needs the 8-byte window of BitReader::Get).
+/// scalar path only needs the 8-byte window of BitReader::Get). Decoders
+/// may load slack bytes but never interpret them: encoders write zeros,
+/// while a loaded column's slack is whatever follows its payload in the
+/// block buffer — the next field, or the buffer's own zeroed trailing
+/// kDecodePadBytes (see SharedBytes::AllocatePadded).
 inline constexpr size_t kDecodePadBytes = 32;
 
 /// Exact payload bytes of `count` values of `bit_width` bits each — the
-/// wire-format quantity Deserialize checks against (old files carry less
-/// slack than kDecodePadBytes; decoders re-pad their owned copy).
+/// wire-format quantity Deserialize checks against. Payloads this code
+/// writes carry kDecodePadBytes of zeros on top; older files may not, and
+/// the block buffer's slack covers them in place.
 constexpr size_t PackedDataBytes(size_t count, int bit_width) {
   return CeilDiv(count * static_cast<size_t>(bit_width), 8);
 }

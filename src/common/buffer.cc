@@ -1,6 +1,35 @@
 #include "common/buffer.h"
 
+#include "common/bit_util.h"
+
 namespace corra {
+
+SharedBytes::SharedBytes(std::vector<uint8_t> bytes) {
+  auto owner = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+  size_ = owner->size();
+  data_ = std::shared_ptr<const uint8_t>(owner, owner->data());
+}
+
+SharedBytes SharedBytes::AllocatePadded(size_t size, uint8_t** writable) {
+  // Only the slack is initialized: the caller overwrites the rest. The
+  // bytes get their own exactly sized allocation (not make_shared's
+  // combined one, which rounds up), so ASan sees reads past the slack.
+  std::shared_ptr<uint8_t[]> owner(
+      new uint8_t[size + bit_util::kDecodePadBytes]);
+  std::memset(owner.get() + size, 0, bit_util::kDecodePadBytes);
+  *writable = owner.get();
+  return SharedBytes(std::shared_ptr<const uint8_t>(owner, owner.get()),
+                     size);
+}
+
+SharedBytes SharedBytes::CopyPadded(std::span<const uint8_t> bytes) {
+  uint8_t* writable = nullptr;
+  SharedBytes buffer = AllocatePadded(bytes.size(), &writable);
+  if (!bytes.empty()) {
+    std::memcpy(writable, bytes.data(), bytes.size());
+  }
+  return buffer;
+}
 
 void BufferWriter::WriteBytes(std::span<const uint8_t> data) {
   Write<uint64_t>(data.size());
@@ -51,6 +80,22 @@ Status BufferReader::ReadBytes(std::span<const uint8_t>* out) {
   CORRA_RETURN_NOT_OK(ReadLength(1, &count));
   *out = data_.subspan(pos_, count);
   pos_ += count;
+  return Status::OK();
+}
+
+Status BufferReader::ReadPayload(size_t min_bytes, const char* what,
+                                 SharedBytes* out) {
+  if (owner_.data() == nullptr) {
+    return Status::InvalidArgument(
+        "payload views need a reader over an owning block buffer");
+  }
+  std::span<const uint8_t> payload;
+  CORRA_RETURN_NOT_OK(ReadBytes(&payload));
+  if (payload.size() < min_bytes) {
+    return Status::Corruption(std::string(what) + " payload truncated");
+  }
+  *out = owner_.Slice(static_cast<size_t>(payload.data() - owner_.data()),
+                      payload.size());
   return Status::OK();
 }
 

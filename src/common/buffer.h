@@ -3,13 +3,16 @@
 // BufferWriter appends primitive values and byte ranges to a growable
 // vector; BufferReader consumes them with strict bounds checking so that a
 // corrupted or truncated block is reported as Status::Corruption instead of
-// reading out of bounds.
+// reading out of bounds. SharedBytes is the handle decoded columns keep
+// their packed payloads in: a view that shares ownership of the block
+// buffer it points into, so loading a block copies no payload.
 
 #ifndef CORRA_COMMON_BUFFER_H_
 #define CORRA_COMMON_BUFFER_H_
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -18,6 +21,42 @@
 #include "common/status.h"
 
 namespace corra {
+
+/// An immutable byte range that shares ownership of the allocation it
+/// points into. Copies and slices are cheap (one reference count), and
+/// data() never moves, so readers may keep raw pointers into it.
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+
+  /// Takes ownership of `bytes` without copying them.
+  explicit SharedBytes(std::vector<uint8_t> bytes);
+
+  /// Allocates a block buffer: `size` uninitialized bytes followed by
+  /// bit_util::kDecodePadBytes of zeroed slack. `*writable` receives the
+  /// first byte; fill [0, size) before sharing the result.
+  static SharedBytes AllocatePadded(size_t size, uint8_t** writable);
+
+  /// A block buffer (see AllocatePadded) holding a copy of `bytes`.
+  static SharedBytes CopyPadded(std::span<const uint8_t> bytes);
+
+  const uint8_t* data() const { return data_.get(); }
+  size_t size() const { return size_; }
+  std::span<const uint8_t> span() const { return {data_.get(), size_}; }
+
+  /// The sub-range [offset, offset + length), sharing ownership.
+  SharedBytes Slice(size_t offset, size_t length) const {
+    return SharedBytes(std::shared_ptr<const uint8_t>(data_, data() + offset),
+                       length);
+  }
+
+ private:
+  SharedBytes(std::shared_ptr<const uint8_t> data, size_t size)
+      : data_(std::move(data)), size_(size) {}
+
+  std::shared_ptr<const uint8_t> data_;  // Aliases the owning allocation.
+  size_t size_ = 0;
+};
 
 /// Append-only little-endian serializer.
 class BufferWriter {
@@ -54,10 +93,18 @@ class BufferWriter {
   std::vector<uint8_t> bytes_;
 };
 
-/// Bounds-checked little-endian deserializer over a non-owned byte span.
+/// Bounds-checked little-endian deserializer over a byte span.
 class BufferReader {
  public:
+  /// Reads `data` without owning it. Such a reader cannot hand out
+  /// payload views: ReadPayload fails.
   explicit BufferReader(std::span<const uint8_t> data) : data_(data) {}
+
+  /// Reads a block buffer made by SharedBytes::AllocatePadded or
+  /// CopyPadded. ReadPayload views share its ownership, and its trailing
+  /// slack gives every view the decode slack past its end.
+  explicit BufferReader(SharedBytes buffer)
+      : data_(buffer.span()), owner_(std::move(buffer)) {}
 
   /// Reads a fixed-width primitive into `out`.
   template <typename T>
@@ -74,6 +121,14 @@ class BufferReader {
   /// Reads a length-prefixed blob written by WriteBytes. The returned span
   /// aliases the underlying buffer.
   Status ReadBytes(std::span<const uint8_t>* out);
+
+  /// Reads a length-prefixed packed payload written by WriteBytes as a
+  /// view into the owning buffer. Fails with Corruption naming `what`
+  /// when the payload is shorter than `min_bytes`. The view is followed
+  /// by at least bit_util::kDecodePadBytes readable bytes — neighbouring
+  /// block data or the buffer's zeroed slack — which decoders may load
+  /// but never interpret.
+  Status ReadPayload(size_t min_bytes, const char* what, SharedBytes* out);
 
   /// Reads a length-prefixed string written by WriteString.
   Status ReadString(std::string* out);
@@ -98,6 +153,7 @@ class BufferReader {
   Status ReadLength(size_t element_size, size_t* out_count);
 
   std::span<const uint8_t> data_;
+  SharedBytes owner_;  // Empty for a non-owning reader.
   size_t pos_ = 0;
 };
 

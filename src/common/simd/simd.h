@@ -25,9 +25,12 @@
 // the two paths agree bit-for-bit in a single process.
 //
 // Alignment contract: packed buffers must carry bit_util::kDecodePadBytes
-// (32) readable bytes past the payload — BitWriter::Finish and every
-// Deserialize allocate them — because the AVX2 unpackers issue full
-// 32-byte loads whose tails may cross the last packed byte.
+// (32) readable bytes past the payload, because the AVX2 unpackers issue
+// full 32-byte loads whose tails may cross the last packed byte.
+// BitWriter::Finish appends them as zeros; a loaded column's payload is a
+// view into its block buffer, whose following bytes or trailing slack
+// provide them. Kernels load those bytes but never let them reach a
+// result. Payloads need no particular alignment: every load is unaligned.
 
 #ifndef CORRA_COMMON_SIMD_SIMD_H_
 #define CORRA_COMMON_SIMD_SIMD_H_

@@ -59,7 +59,7 @@ uint64_t ReadBits(const uint8_t* bytes, uint64_t bit_pos, int width) {
 DforColumn::DforColumn(uint32_t ref_index, std::vector<int64_t> frame_bases,
                        std::vector<uint8_t> frame_widths,
                        std::vector<uint64_t> frame_bit_starts,
-                       std::vector<uint8_t> payload, size_t count)
+                       SharedBytes payload, size_t count)
     : SingleRefColumn(ref_index),
       frame_bases_(std::move(frame_bases)),
       frame_widths_(std::move(frame_widths)),
@@ -103,7 +103,8 @@ Result<std::unique_ptr<DforColumn>> DforColumn::Encode(
   payload.resize((cursor + 7) / 8 + bit_util::kDecodePadBytes, 0);
   return std::unique_ptr<DforColumn>(
       new DforColumn(ref_index, std::move(bases), std::move(widths),
-                     std::move(starts), std::move(payload), target.size()));
+                     std::move(starts), SharedBytes(std::move(payload)),
+                     target.size()));
 }
 
 size_t DforColumn::EstimateSizeBytes(std::span<const int64_t> target,
@@ -149,9 +150,6 @@ Result<std::unique_ptr<DforColumn>> DforColumn::Deserialize(
   CORRA_RETURN_NOT_OK(reader->ReadBytes(&width_bytes));
   std::vector<int64_t> starts_i64;
   CORRA_RETURN_NOT_OK(reader->ReadInt64Array(&starts_i64));
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-
   const size_t frames = bit_util::CeilDiv(count, kFrameSize);
   if (bases.size() != frames || width_bytes.size() != frames ||
       starts_i64.size() != frames) {
@@ -172,14 +170,12 @@ Result<std::unique_ptr<DforColumn>> DforColumn::Deserialize(
         std::min(kFrameSize, static_cast<size_t>(count) - f * kFrameSize);
     expected_bits += rows_in_frame * widths[f];
   }
-  if (payload.size() < (expected_bits + 7) / 8) {
-    return Status::Corruption("DFOR payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize((expected_bits + 7) / 8 + bit_util::kDecodePadBytes, 0);
+  SharedBytes payload;
+  CORRA_RETURN_NOT_OK(
+      reader->ReadPayload((expected_bits + 7) / 8, "DFOR", &payload));
   return std::unique_ptr<DforColumn>(
       new DforColumn(ref_index, std::move(bases), std::move(widths),
-                     std::move(starts), std::move(bytes), count));
+                     std::move(starts), std::move(payload), count));
 }
 
 size_t DforColumn::SizeBytes() const {
@@ -273,7 +269,7 @@ void DforColumn::Serialize(BufferWriter* writer) const {
   std::vector<int64_t> starts(frame_bit_starts_.begin(),
                               frame_bit_starts_.end());
   writer->WriteInt64Array(starts);
-  writer->WriteBytes(payload_);
+  writer->WriteBytes(payload_.span());
 }
 
 }  // namespace corra::c3

@@ -46,7 +46,7 @@ class DforColumn final : public SingleRefColumn {
   DforColumn(uint32_t ref_index, std::vector<int64_t> frame_bases,
              std::vector<uint8_t> frame_widths,
              std::vector<uint64_t> frame_bit_starts,
-             std::vector<uint8_t> payload, size_t count);
+             SharedBytes payload, size_t count);
 
   // The packed diff (relative to its frame base) at `row`.
   int64_t DiffAt(size_t row) const;
@@ -54,7 +54,7 @@ class DforColumn final : public SingleRefColumn {
   std::vector<int64_t> frame_bases_;
   std::vector<uint8_t> frame_widths_;
   std::vector<uint64_t> frame_bit_starts_;  // Bit offset of each frame.
-  std::vector<uint8_t> payload_;
+  SharedBytes payload_;
   size_t count_ = 0;
 };
 

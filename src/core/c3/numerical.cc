@@ -48,7 +48,7 @@ int64_t PredictWith(double slope, int64_t ref_value) {
 }  // namespace
 
 NumericalColumn::NumericalColumn(uint32_t ref_index, double slope,
-                                 int64_t base, std::vector<uint8_t> bytes,
+                                 int64_t base, SharedBytes bytes,
                                  int bit_width, size_t count)
     : SingleRefColumn(ref_index),
       slope_(slope),
@@ -81,8 +81,9 @@ Result<std::unique_ptr<NumericalColumn>> NumericalColumn::Encode(
     writer.Append(static_cast<uint64_t>(r) - static_cast<uint64_t>(mm.min));
   }
   return std::unique_ptr<NumericalColumn>(
-      new NumericalColumn(ref_index, slope, mm.min, std::move(writer).Finish(),
-                          width, target.size()));
+      new NumericalColumn(ref_index, slope, mm.min,
+                          SharedBytes(std::move(writer).Finish()), width,
+                          target.size()));
 }
 
 size_t NumericalColumn::EstimateSizeBytes(std::span<const int64_t> target,
@@ -131,13 +132,9 @@ Result<std::unique_ptr<NumericalColumn>> NumericalColumn::Deserialize(
   if (!std::isfinite(slope)) {
     return Status::Corruption("numerical slope not finite");
   }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, width)) {
-    return Status::Corruption("numerical payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, width), 0);  // Decode slack.
+  SharedBytes bytes;
+  CORRA_RETURN_NOT_OK(reader->ReadPayload(
+      bit_util::PackedDataBytes(count, width), "numerical", &bytes));
   return std::unique_ptr<NumericalColumn>(new NumericalColumn(
       ref_index, slope, base, std::move(bytes), width, count));
 }
@@ -194,7 +191,7 @@ void NumericalColumn::Serialize(BufferWriter* writer) const {
   writer->Write<int64_t>(base_);
   writer->Write<uint8_t>(static_cast<uint8_t>(packed_.bit_width()));
   writer->Write<uint64_t>(packed_.size());
-  writer->WriteBytes(bytes_);
+  writer->WriteBytes(bytes_.span());
 }
 
 }  // namespace corra::c3

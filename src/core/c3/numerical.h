@@ -46,13 +46,13 @@ class NumericalColumn final : public SingleRefColumn {
 
  private:
   NumericalColumn(uint32_t ref_index, double slope, int64_t base,
-                  std::vector<uint8_t> bytes, int bit_width, size_t count);
+                  SharedBytes bytes, int bit_width, size_t count);
 
   int64_t Predict(int64_t ref_value) const;
 
   double slope_;
   int64_t base_;  // FOR base of the residuals.
-  std::vector<uint8_t> bytes_;
+  SharedBytes bytes_;
   BitReader packed_;
 };
 

@@ -83,8 +83,8 @@ DiffLayout SelectLayout(std::span<const int64_t> diffs,
 
 DiffEncodedColumn::DiffEncodedColumn(uint32_t ref_index, DiffMode mode,
                                      int64_t base,
-                                     std::vector<uint8_t> bytes,
-                                     int bit_width, size_t count,
+                                     SharedBytes bytes, int bit_width,
+                                     size_t count,
                                      OutlierStore outliers)
     : SingleRefColumn(ref_index),
       mode_(mode),
@@ -146,7 +146,8 @@ Result<std::unique_ptr<DiffEncodedColumn>> DiffEncodedColumn::Encode(
   CORRA_ASSIGN_OR_RETURN(OutlierStore store,
                          OutlierStore::Build(outlier_rows, outlier_values));
   return std::unique_ptr<DiffEncodedColumn>(new DiffEncodedColumn(
-      ref_index, layout.mode, layout.base, std::move(writer).Finish(),
+      ref_index, layout.mode, layout.base,
+      SharedBytes(std::move(writer).Finish()),
       layout.bit_width, target.size(), std::move(store)));
 }
 
@@ -182,18 +183,14 @@ Result<std::unique_ptr<DiffEncodedColumn>> DiffEncodedColumn::Deserialize(
   if (width > 64) {
     return Status::Corruption("diff width > 64");
   }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, width)) {
-    return Status::Corruption("diff payload truncated");
-  }
+  SharedBytes bytes;
+  CORRA_RETURN_NOT_OK(reader->ReadPayload(
+      bit_util::PackedDataBytes(count, width), "diff", &bytes));
   CORRA_ASSIGN_OR_RETURN(OutlierStore outliers,
                          OutlierStore::Deserialize(reader));
   if (!outliers.empty() && outliers.row(outliers.size() - 1) >= count) {
     return Status::Corruption("diff outlier row out of range");
   }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, width), 0);  // Decode slack.
   return std::unique_ptr<DiffEncodedColumn>(new DiffEncodedColumn(
       ref_index, static_cast<DiffMode>(mode_byte), base, std::move(bytes),
       width, count, std::move(outliers)));
@@ -296,7 +293,7 @@ void DiffEncodedColumn::Serialize(BufferWriter* writer) const {
   writer->Write<int64_t>(base_);
   writer->Write<uint8_t>(static_cast<uint8_t>(packed_.bit_width()));
   writer->Write<uint64_t>(packed_.size());
-  writer->WriteBytes(bytes_);
+  writer->WriteBytes(bytes_.span());
   outliers_.Serialize(writer);
 }
 

@@ -86,7 +86,7 @@ class DiffEncodedColumn final : public SingleRefColumn {
 
  private:
   DiffEncodedColumn(uint32_t ref_index, DiffMode mode, int64_t base,
-                    std::vector<uint8_t> bytes, int bit_width, size_t count,
+                    SharedBytes bytes, int bit_width, size_t count,
                     OutlierStore outliers);
 
   // The decoded diff at `row` (window-mode outliers not considered).
@@ -94,7 +94,7 @@ class DiffEncodedColumn final : public SingleRefColumn {
 
   DiffMode mode_;
   int64_t base_;                  // Window base (kWindow mode only).
-  std::vector<uint8_t> bytes_;    // Bit-packed diffs.
+  SharedBytes bytes_;             // Bit-packed diffs.
   BitReader packed_;
   OutlierStore outliers_;
 };

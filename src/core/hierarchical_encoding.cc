@@ -21,8 +21,8 @@ constexpr int64_t kMaxRefCardinality = int64_t{1} << 26;
 HierarchicalColumn::HierarchicalColumn(uint32_t ref_index,
                                        std::vector<int64_t> values,
                                        std::vector<uint32_t> offsets,
-                                       std::vector<uint8_t> bytes,
-                                       int bit_width, size_t count)
+                                       SharedBytes bytes, int bit_width,
+                                       size_t count)
     : SingleRefColumn(ref_index),
       values_(std::move(values)),
       offsets_(std::move(offsets)),
@@ -87,7 +87,7 @@ Result<std::unique_ptr<HierarchicalColumn>> HierarchicalColumn::Encode(
   }
   return std::unique_ptr<HierarchicalColumn>(new HierarchicalColumn(
       ref_index, std::move(values), std::move(offsets),
-      std::move(writer).Finish(), width, target.size()));
+      SharedBytes(std::move(writer).Finish()), width, target.size()));
 }
 
 size_t HierarchicalColumn::EstimateSizeBytes(
@@ -148,13 +148,9 @@ Result<std::unique_ptr<HierarchicalColumn>> HierarchicalColumn::Deserialize(
   if (width > 64) {
     return Status::Corruption("hierarchical width > 64");
   }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, width)) {
-    return Status::Corruption("hierarchical payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, width), 0);  // Decode slack.
+  SharedBytes bytes;
+  CORRA_RETURN_NOT_OK(reader->ReadPayload(
+      bit_util::PackedDataBytes(count, width), "hierarchical", &bytes));
   return std::unique_ptr<HierarchicalColumn>(new HierarchicalColumn(
       ref_index, std::move(values), std::move(offsets), std::move(bytes),
       width, count));
@@ -233,7 +229,7 @@ void HierarchicalColumn::Serialize(BufferWriter* writer) const {
   writer->WriteUint32Array(offsets_);
   writer->Write<uint8_t>(static_cast<uint8_t>(local_.bit_width()));
   writer->Write<uint64_t>(local_.size());
-  writer->WriteBytes(bytes_);
+  writer->WriteBytes(bytes_.span());
 }
 
 }  // namespace corra

@@ -59,7 +59,7 @@ Result<std::vector<std::vector<int64_t>>> ComputeGroupSums(
 
 }  // namespace
 
-MultiRefColumn::MultiRefColumn(FormulaTable table, std::vector<uint8_t> bytes,
+MultiRefColumn::MultiRefColumn(FormulaTable table, SharedBytes bytes,
                                size_t count, OutlierStore outliers)
     : table_(std::move(table)),
       bytes_(std::move(bytes)),
@@ -113,7 +113,8 @@ Result<std::unique_ptr<MultiRefColumn>> MultiRefColumn::Encode(
   CORRA_ASSIGN_OR_RETURN(OutlierStore store,
                          OutlierStore::Build(outlier_rows, outlier_values));
   return std::unique_ptr<MultiRefColumn>(new MultiRefColumn(
-      table, std::move(writer).Finish(), target.size(), std::move(store)));
+      table, SharedBytes(std::move(writer).Finish()), target.size(),
+      std::move(store)));
 }
 
 Result<FormulaTable> MultiRefColumn::DeriveFormulas(
@@ -194,20 +195,14 @@ Result<std::unique_ptr<MultiRefColumn>> MultiRefColumn::Deserialize(
 
   uint64_t count = 0;
   CORRA_RETURN_NOT_OK(reader->Read(&count));
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, table.code_bits)) {
-    return Status::Corruption("multi-ref code payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, table.code_bits), 0);
-  // Codes must index into the formula table. Probe the padded copy — the
-  // raw span may lack the load slack Get assumes.
-  BitReader probe(bytes.data(), table.code_bits, count);
-  for (size_t i = 0; i < count; ++i) {
-    if (probe.Get(i) >= table.formulas.size()) {
-      return Status::Corruption("multi-ref code out of range");
-    }
+  SharedBytes bytes;
+  CORRA_RETURN_NOT_OK(reader->ReadPayload(
+      bit_util::PackedDataBytes(count, table.code_bits), "multi-ref code",
+      &bytes));
+  // Codes must index into the formula table.
+  if (!BitReader(bytes.data(), table.code_bits, count)
+           .AllBelow(table.formulas.size())) {
+    return Status::Corruption("multi-ref code out of range");
   }
   CORRA_ASSIGN_OR_RETURN(OutlierStore outliers,
                          OutlierStore::Deserialize(reader));
@@ -392,7 +387,7 @@ void MultiRefColumn::Serialize(BufferWriter* writer) const {
   writer->WriteBytes(std::span<const uint8_t>(table_.formulas.data(),
                                               table_.formulas.size()));
   writer->Write<uint64_t>(codes_.size());
-  writer->WriteBytes(bytes_);
+  writer->WriteBytes(bytes_.span());
   outliers_.Serialize(writer);
 }
 

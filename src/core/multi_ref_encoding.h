@@ -107,14 +107,14 @@ class MultiRefColumn final : public enc::EncodedColumn {
   CodeStats ComputeCodeStats() const;
 
  private:
-  MultiRefColumn(FormulaTable table, std::vector<uint8_t> bytes,
-                 size_t count, OutlierStore outliers);
+  MultiRefColumn(FormulaTable table, SharedBytes bytes, size_t count,
+                 OutlierStore outliers);
 
   // Sum of the bound columns of group `g` at `row`.
   int64_t GroupSum(size_t g, size_t row) const;
 
   FormulaTable table_;
-  std::vector<uint8_t> bytes_;  // Bit-packed formula codes.
+  SharedBytes bytes_;  // Bit-packed formula codes.
   BitReader codes_;
   OutlierStore outliers_;
   // Bound reference columns, aligned with table_.groups.

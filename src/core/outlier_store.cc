@@ -26,7 +26,7 @@ Result<OutlierStore> OutlierStore::Build(std::span<const uint32_t> rows,
     writer.Append(static_cast<uint64_t>(v) -
                   static_cast<uint64_t>(store.base_));
   }
-  store.value_bytes_ = std::move(writer).Finish();
+  store.value_bytes_ = SharedBytes(std::move(writer).Finish());
   store.values_ = BitReader(store.value_bytes_.data(), width, values.size());
   return store;
 }
@@ -46,19 +46,12 @@ Result<OutlierStore> OutlierStore::Deserialize(BufferReader* reader) {
   if (width > 64) {
     return Status::Corruption("outlier value width > 64");
   }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(rows.size(), width)) {
-    return Status::Corruption("outlier values truncated");
-  }
   OutlierStore store;
+  CORRA_RETURN_NOT_OK(reader->ReadPayload(
+      bit_util::PackedDataBytes(rows.size(), width), "outlier values",
+      &store.value_bytes_));
   store.rows_ = std::move(rows);
   store.base_ = base;
-  store.value_bytes_.assign(payload.begin(), payload.end());
-  // Re-pad the owned copy before handing it to the reader: the wire
-  // payload may carry less than kDecodePadBytes of slack.
-  store.value_bytes_.resize(bit_util::PackedBytes(store.rows_.size(), width),
-                            0);
   store.values_ =
       BitReader(store.value_bytes_.data(), width, store.rows_.size());
   return store;
@@ -68,7 +61,7 @@ void OutlierStore::Serialize(BufferWriter* writer) const {
   writer->WriteUint32Array(rows_);
   writer->Write<int64_t>(base_);
   writer->Write<uint8_t>(static_cast<uint8_t>(values_.bit_width()));
-  writer->WriteBytes(value_bytes_);
+  writer->WriteBytes(value_bytes_.span());
 }
 
 std::optional<int64_t> OutlierStore::Find(uint32_t row) const {

@@ -73,7 +73,7 @@ class OutlierStore {
  private:
   std::vector<uint32_t> rows_;       // Strictly increasing.
   int64_t base_ = 0;                 // FOR base of the packed values.
-  std::vector<uint8_t> value_bytes_; // Bit-packed value offsets.
+  SharedBytes value_bytes_;          // Bit-packed value offsets.
   BitReader values_;
 };
 

@@ -7,7 +7,7 @@
 
 namespace corra::enc {
 
-BitPackColumn::BitPackColumn(std::vector<uint8_t> bytes, int bit_width,
+BitPackColumn::BitPackColumn(SharedBytes bytes, int bit_width,
                              size_t count)
     : bytes_(std::move(bytes)),
       reader_(bytes_.data(), bit_width, count) {}
@@ -28,7 +28,8 @@ Result<std::unique_ptr<BitPackColumn>> BitPackColumn::Encode(
     writer.Append(static_cast<uint64_t>(v));
   }
   return std::unique_ptr<BitPackColumn>(
-      new BitPackColumn(std::move(writer).Finish(), width, values.size()));
+      new BitPackColumn(SharedBytes(std::move(writer).Finish()), width,
+                        values.size()));
 }
 
 size_t BitPackColumn::EstimateSizeBytes(std::span<const int64_t> values) {
@@ -52,13 +53,9 @@ Result<std::unique_ptr<BitPackColumn>> BitPackColumn::Deserialize(
   if (width > 64) {
     return Status::Corruption("BitPack width > 64");
   }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, width)) {
-    return Status::Corruption("BitPack payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, width), 0);  // Decode slack.
+  SharedBytes bytes;
+  CORRA_RETURN_NOT_OK(reader->ReadPayload(
+      bit_util::PackedDataBytes(count, width), "BitPack", &bytes));
   return std::unique_ptr<BitPackColumn>(
       new BitPackColumn(std::move(bytes), width, count));
 }
@@ -87,7 +84,7 @@ void BitPackColumn::Serialize(BufferWriter* writer) const {
   writer->Write<uint8_t>(static_cast<uint8_t>(Scheme::kBitPack));
   writer->Write<uint8_t>(static_cast<uint8_t>(reader_.bit_width()));
   writer->Write<uint64_t>(reader_.size());
-  writer->WriteBytes(bytes_);
+  writer->WriteBytes(bytes_.span());
 }
 
 }  // namespace corra::enc

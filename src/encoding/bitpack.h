@@ -46,9 +46,9 @@ class BitPackColumn final : public EncodedColumn {
   int bit_width() const { return reader_.bit_width(); }
 
  private:
-  BitPackColumn(std::vector<uint8_t> bytes, int bit_width, size_t count);
+  BitPackColumn(SharedBytes bytes, int bit_width, size_t count);
 
-  std::vector<uint8_t> bytes_;
+  SharedBytes bytes_;
   BitReader reader_;
 };
 

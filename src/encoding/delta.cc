@@ -109,7 +109,7 @@ std::vector<uint8_t> BuildInlineWindows(std::span<const int64_t> values,
 }  // namespace
 
 DeltaColumn::DeltaColumn(std::vector<int64_t> checkpoints,
-                         std::vector<uint8_t> bytes, int bit_width,
+                         SharedBytes bytes, int bit_width,
                          size_t count, size_t interval, DeltaLayout layout)
     : checkpoints_(std::move(checkpoints)),
       bytes_(std::move(bytes)),
@@ -145,8 +145,8 @@ Result<std::unique_ptr<DeltaColumn>> DeltaColumn::Encode(
 
   if (layout == DeltaLayout::kInline) {
     return std::unique_ptr<DeltaColumn>(new DeltaColumn(
-        {}, BuildInlineWindows(values, checkpoint_interval, width), width,
-        values.size(), checkpoint_interval, layout));
+        {}, SharedBytes(BuildInlineWindows(values, checkpoint_interval, width)),
+        width, values.size(), checkpoint_interval, layout));
   }
 
   std::vector<int64_t> checkpoints;
@@ -164,8 +164,9 @@ Result<std::unique_ptr<DeltaColumn>> DeltaColumn::Encode(
     writer.Append(i == 0 ? 0 : bit_util::ZigZagEncode(delta));
   }
   return std::unique_ptr<DeltaColumn>(
-      new DeltaColumn(std::move(checkpoints), std::move(writer).Finish(),
-                      width, values.size(), checkpoint_interval, layout));
+      new DeltaColumn(std::move(checkpoints),
+                      SharedBytes(std::move(writer).Finish()), width,
+                      values.size(), checkpoint_interval, layout));
 }
 
 size_t DeltaColumn::EstimateSizeBytes(std::span<const int64_t> values,
@@ -207,18 +208,15 @@ Result<std::unique_ptr<DeltaColumn>> DeltaColumn::Deserialize(
     }
     const size_t windows = NumWindows(count, interval);
     const size_t stride = WindowStrideBytes(interval, width);
-    std::span<const uint8_t> payload;
-    CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-    // Division, not `payload.size() < windows * stride`: a corrupt
-    // `count` near 2^64 makes the product wrap to a small value and
-    // sail past the check, building a column whose row count vastly
-    // exceeds its buffer (out-of-bounds reads on first access).
-    if (windows > payload.size() / stride) {
-      return Status::Corruption("Delta inline window stream truncated");
-    }
-    std::vector<uint8_t> bytes(payload.begin(),
-                               payload.begin() + windows * stride);
-    bytes.resize(windows * stride + bit_util::kDecodePadBytes, 0);
+    // Saturate, do not wrap: a corrupt `count` near 2^64 would make
+    // windows * stride wrap to a small value and sail past the check,
+    // building a column whose row count vastly exceeds its buffer
+    // (out-of-bounds reads on first access).
+    const size_t stream_bytes =
+        windows > SIZE_MAX / stride ? SIZE_MAX : windows * stride;
+    SharedBytes bytes;
+    CORRA_RETURN_NOT_OK(
+        reader->ReadPayload(stream_bytes, "Delta inline window", &bytes));
     return std::unique_ptr<DeltaColumn>(
         new DeltaColumn({}, std::move(bytes), width, count, interval,
                         DeltaLayout::kInline));
@@ -251,13 +249,9 @@ Result<std::unique_ptr<DeltaColumn>> DeltaColumn::Deserialize(
   if (checkpoints.size() != expected_checkpoints) {
     return Status::Corruption("Delta checkpoint count mismatch");
   }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, width)) {
-    return Status::Corruption("Delta payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, width), 0);  // Decode slack.
+  SharedBytes bytes;
+  CORRA_RETURN_NOT_OK(reader->ReadPayload(
+      bit_util::PackedDataBytes(count, width), "Delta", &bytes));
   return std::unique_ptr<DeltaColumn>(
       new DeltaColumn(std::move(checkpoints), std::move(bytes), width, count,
                       interval, DeltaLayout::kPacked));
@@ -452,7 +446,7 @@ void DeltaColumn::Serialize(BufferWriter* writer) const {
   writer->WriteInt64Array(checkpoints_);
   writer->Write<uint8_t>(static_cast<uint8_t>(bit_width_));
   writer->Write<uint64_t>(count_);
-  writer->WriteBytes(bytes_);
+  writer->WriteBytes(bytes_.span());
 }
 
 }  // namespace corra::enc

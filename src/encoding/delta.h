@@ -159,7 +159,7 @@ class DeltaColumn final : public EncodedColumn {
   DeltaLayout layout() const { return layout_; }
 
  private:
-  DeltaColumn(std::vector<int64_t> checkpoints, std::vector<uint8_t> bytes,
+  DeltaColumn(std::vector<int64_t> checkpoints, SharedBytes bytes,
               int bit_width, size_t count, size_t interval,
               DeltaLayout layout);
 
@@ -176,8 +176,8 @@ class DeltaColumn final : public EncodedColumn {
 
   std::vector<int64_t> checkpoints_;  // kPacked: absolute value at row
                                       // k*interval. Empty for kInline.
-  std::vector<uint8_t> bytes_;  // kPacked: zig-zag deltas, bit-packed.
-                                // kInline: fixed-stride windows.
+  SharedBytes bytes_;  // kPacked: zig-zag deltas, bit-packed.
+                       // kInline: fixed-stride windows.
   int bit_width_ = 0;
   size_t count_ = 0;
   size_t interval_ = kDefaultCheckpointInterval;

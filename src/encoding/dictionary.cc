@@ -9,7 +9,7 @@
 
 namespace corra::enc {
 
-DictColumn::DictColumn(std::vector<int64_t> dict, std::vector<uint8_t> bytes,
+DictColumn::DictColumn(std::vector<int64_t> dict, SharedBytes bytes,
                        int bit_width, size_t count)
     : dict_(std::move(dict)),
       bytes_(std::move(bytes)),
@@ -34,7 +34,8 @@ Result<std::unique_ptr<DictColumn>> DictColumn::Encode(
     writer.Append(code_of.find(v)->second);
   }
   return std::unique_ptr<DictColumn>(new DictColumn(
-      std::move(dict), std::move(writer).Finish(), width, values.size()));
+      std::move(dict), SharedBytes(std::move(writer).Finish()), width,
+      values.size()));
 }
 
 size_t DictColumn::EstimateSizeBytes(std::span<const int64_t> values) {
@@ -57,21 +58,13 @@ Result<std::unique_ptr<DictColumn>> DictColumn::Deserialize(
   if (width > 64) {
     return Status::Corruption("Dict width > 64");
   }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, width)) {
-    return Status::Corruption("Dict payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, width), 0);  // Decode slack.
+  SharedBytes bytes;
+  CORRA_RETURN_NOT_OK(reader->ReadPayload(
+      bit_util::PackedDataBytes(count, width), "Dict", &bytes));
   // Reject codes that exceed the dictionary, so a corrupted payload cannot
-  // cause out-of-bounds reads later. Probe the padded copy — the raw span
-  // may lack the load slack Get assumes.
-  BitReader probe(bytes.data(), width, count);
-  for (size_t i = 0; i < count; ++i) {
-    if (probe.Get(i) >= dict.size()) {
-      return Status::Corruption("Dict code out of range");
-    }
+  // cause out-of-bounds reads later.
+  if (!BitReader(bytes.data(), width, count).AllBelow(dict.size())) {
+    return Status::Corruption("Dict code out of range");
   }
   return std::unique_ptr<DictColumn>(
       new DictColumn(std::move(dict), std::move(bytes), width, count));
@@ -126,7 +119,7 @@ void DictColumn::Serialize(BufferWriter* writer) const {
   writer->WriteInt64Array(dict_);
   writer->Write<uint8_t>(static_cast<uint8_t>(reader_.bit_width()));
   writer->Write<uint64_t>(reader_.size());
-  writer->WriteBytes(bytes_);
+  writer->WriteBytes(bytes_.span());
 }
 
 }  // namespace corra::enc

@@ -53,11 +53,11 @@ class DictColumn final : public EncodedColumn {
   int bit_width() const { return reader_.bit_width(); }
 
  private:
-  DictColumn(std::vector<int64_t> dict, std::vector<uint8_t> bytes,
-             int bit_width, size_t count);
+  DictColumn(std::vector<int64_t> dict, SharedBytes bytes, int bit_width,
+             size_t count);
 
   std::vector<int64_t> dict_;  // Sorted distinct values.
-  std::vector<uint8_t> bytes_;
+  SharedBytes bytes_;
   BitReader reader_;
 };
 

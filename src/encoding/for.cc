@@ -18,7 +18,7 @@ bool RangeRepresentable(int64_t min, int64_t max) {
 }
 }  // namespace
 
-ForColumn::ForColumn(int64_t base, std::vector<uint8_t> bytes, int bit_width,
+ForColumn::ForColumn(int64_t base, SharedBytes bytes, int bit_width,
                      size_t count)
     : base_(base), bytes_(std::move(bytes)),
       reader_(bytes_.data(), bit_width, count) {}
@@ -35,7 +35,7 @@ Result<std::unique_ptr<ForColumn>> ForColumn::Encode(
     writer.Append(static_cast<uint64_t>(v) - static_cast<uint64_t>(mm.min));
   }
   return std::unique_ptr<ForColumn>(new ForColumn(
-      mm.min, std::move(writer).Finish(), width, values.size()));
+      mm.min, SharedBytes(std::move(writer).Finish()), width, values.size()));
 }
 
 size_t ForColumn::EstimateSizeBytes(std::span<const int64_t> values) {
@@ -56,13 +56,9 @@ Result<std::unique_ptr<ForColumn>> ForColumn::Deserialize(
   if (width > 64) {
     return Status::Corruption("FOR width > 64");
   }
-  std::span<const uint8_t> payload;
-  CORRA_RETURN_NOT_OK(reader->ReadBytes(&payload));
-  if (payload.size() < bit_util::PackedDataBytes(count, width)) {
-    return Status::Corruption("FOR payload truncated");
-  }
-  std::vector<uint8_t> bytes(payload.begin(), payload.end());
-  bytes.resize(bit_util::PackedBytes(count, width), 0);  // Decode slack.
+  SharedBytes bytes;
+  CORRA_RETURN_NOT_OK(reader->ReadPayload(
+      bit_util::PackedDataBytes(count, width), "FOR", &bytes));
   return std::unique_ptr<ForColumn>(
       new ForColumn(base, std::move(bytes), width, count));
 }
@@ -99,7 +95,7 @@ void ForColumn::Serialize(BufferWriter* writer) const {
   writer->Write<int64_t>(base_);
   writer->Write<uint8_t>(static_cast<uint8_t>(reader_.bit_width()));
   writer->Write<uint64_t>(reader_.size());
-  writer->WriteBytes(bytes_);
+  writer->WriteBytes(bytes_.span());
 }
 
 }  // namespace corra::enc

@@ -53,11 +53,10 @@ class ForColumn final : public EncodedColumn {
   }
 
  private:
-  ForColumn(int64_t base, std::vector<uint8_t> bytes, int bit_width,
-            size_t count);
+  ForColumn(int64_t base, SharedBytes bytes, int bit_width, size_t count);
 
   int64_t base_ = 0;
-  std::vector<uint8_t> bytes_;
+  SharedBytes bytes_;
   BitReader reader_;
 };
 

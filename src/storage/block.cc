@@ -114,7 +114,11 @@ std::vector<uint8_t> Block::Serialize() const {
 
 Result<Block> Block::Deserialize(std::span<const uint8_t> bytes,
                                  bool verify) {
-  BufferReader reader(bytes);
+  return Deserialize(SharedBytes::CopyPadded(bytes), verify);
+}
+
+Result<Block> Block::Deserialize(SharedBytes buffer, bool verify) {
+  BufferReader reader(std::move(buffer));
   uint32_t magic = 0;
   uint8_t version = 0;
   uint32_t column_count = 0;
@@ -131,6 +135,11 @@ Result<Block> Block::Deserialize(std::span<const uint8_t> bytes,
   CORRA_RETURN_NOT_OK(reader.Read(&rows));
   if (column_count == 0) {
     return Status::Corruption("block without columns");
+  }
+  // Bound the untrusted count before reserving: every column takes at
+  // least two bytes (its dictionary flag and its scheme byte).
+  if (column_count > reader.remaining() / 2) {
+    return Status::Corruption("block column count exceeds its bytes");
   }
   std::vector<BlockColumn> columns;
   columns.reserve(column_count);

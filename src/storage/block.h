@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/buffer.h"
 #include "encoding/encoded_column.h"
 #include "encoding/string_dict.h"
 
@@ -74,8 +75,14 @@ class Block {
   /// Serializes the whole block into one self-contained byte buffer.
   std::vector<uint8_t> Serialize() const;
 
-  /// Rebuilds a block from bytes produced by Serialize. With
-  /// `verify` set, runs O(n) integrity checks on horizontal columns.
+  /// Rebuilds a block from a block buffer (SharedBytes::AllocatePadded
+  /// or CopyPadded) holding bytes produced by Serialize. The block
+  /// adopts the buffer: every packed payload stays a view into it, and
+  /// the buffer lives as long as any column does. With `verify` set,
+  /// runs O(n) integrity checks on horizontal columns.
+  static Result<Block> Deserialize(SharedBytes buffer, bool verify = false);
+
+  /// Copies `bytes` once into a block buffer, then deserializes that.
   static Result<Block> Deserialize(std::span<const uint8_t> bytes,
                                    bool verify = false);
 

@@ -473,20 +473,23 @@ std::string ChecksumHex(uint64_t value) {
 
 }  // namespace
 
-Result<std::vector<uint8_t>> CorfFile::ReadBlockBytes(
-    size_t block_index, BlockReadStats* stats) const {
+Result<size_t> CorfFile::BlockLength(size_t block_index) const {
   if (block_index >= info_.num_blocks) {
     return Status::OutOfRange(
         "block index " + std::to_string(block_index) +
         " out of range (file '" + path_ + "' has " +
         std::to_string(info_.num_blocks) + " blocks)");
   }
+  return static_cast<size_t>(info_.block_lengths[block_index]);
+}
+
+Status CorfFile::PReadBlock(size_t block_index, uint8_t* out,
+                            BlockReadStats* stats) const {
   const ReadSite site{&path_, static_cast<int64_t>(block_index)};
-  std::vector<uint8_t> bytes(info_.block_lengths[block_index]);
+  const size_t length = info_.block_lengths[block_index];
   uint32_t retries = 0;
-  Status read = PReadRetrying(fd_, info_.block_offsets[block_index],
-                              bytes.data(), bytes.size(), site, options_,
-                              &retries);
+  Status read = PReadRetrying(fd_, info_.block_offsets[block_index], out,
+                              length, site, options_, &retries);
   if (stats != nullptr) {
     stats->retries += retries;
   }
@@ -512,22 +515,36 @@ Result<std::vector<uint8_t>> CorfFile::ReadBlockBytes(
       read_errors.Increment();
     } else {
       reads.Increment();
-      read_bytes.Add(bytes.size());
+      read_bytes.Add(length);
     }
   }
   CORRA_RETURN_NOT_OK(read);
   // Fault injection for the verify/quarantine paths: damage the payload
   // *after* a successful read, the way a bad cable or DMA error would.
-  if (!bytes.empty() && CORRA_FAILPOINT("corf.payload.bitflip")) {
-    bytes[bytes.size() / 2] ^= 0x40;
+  if (length > 0 && CORRA_FAILPOINT("corf.payload.bitflip")) {
+    out[length / 2] ^= 0x40;
   }
+  return Status::OK();
+}
+
+Result<std::vector<uint8_t>> CorfFile::ReadBlockBytes(
+    size_t block_index, BlockReadStats* stats) const {
+  CORRA_ASSIGN_OR_RETURN(const size_t length, BlockLength(block_index));
+  std::vector<uint8_t> bytes(length);
+  CORRA_RETURN_NOT_OK(PReadBlock(block_index, bytes.data(), stats));
   return bytes;
 }
 
 Result<Block> CorfFile::ReadBlock(size_t block_index, bool verify,
                                   BlockReadStats* stats) const {
-  CORRA_ASSIGN_OR_RETURN(auto bytes, ReadBlockBytes(block_index, stats));
-  if (verify && Fnv1a64(bytes) != info_.block_checksums[block_index]) {
+  // One read into one uninitialized block buffer, which the block then
+  // adopts: no zero-fill, no per-column payload copies.
+  CORRA_ASSIGN_OR_RETURN(const size_t length, BlockLength(block_index));
+  uint8_t* writable = nullptr;
+  SharedBytes buffer = SharedBytes::AllocatePadded(length, &writable);
+  CORRA_RETURN_NOT_OK(PReadBlock(block_index, writable, stats));
+  if (verify &&
+      Fnv1a64(buffer.span()) != info_.block_checksums[block_index]) {
     // One re-read distinguishes transient from persistent corruption: a
     // bit flipped in transfer heals, damage on the medium does not.
     if (stats != nullptr) {
@@ -538,8 +555,8 @@ Result<Block> CorfFile::ReadBlock(size_t block_index, bool verify,
           obs::Registry::Default().counter("storage.read_retries");
       read_retries.Increment();
     }
-    CORRA_ASSIGN_OR_RETURN(bytes, ReadBlockBytes(block_index, stats));
-    const uint64_t actual = Fnv1a64(bytes);
+    CORRA_RETURN_NOT_OK(PReadBlock(block_index, writable, stats));
+    const uint64_t actual = Fnv1a64(buffer.span());
     const uint64_t expected = info_.block_checksums[block_index];
     if (actual != expected) {
       if (obs::Enabled()) {
@@ -555,7 +572,7 @@ Result<Block> CorfFile::ReadBlock(size_t block_index, bool verify,
                      info_.block_lengths[block_index]));
     }
   }
-  auto deserialized = Block::Deserialize(bytes, verify);
+  auto deserialized = Block::Deserialize(std::move(buffer), verify);
   if (!deserialized.ok()) {
     const Status& st = deserialized.status();
     return Status(st.code(),

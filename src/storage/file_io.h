@@ -134,11 +134,13 @@ class CorfFile {
   Result<std::vector<uint8_t>> ReadBlockBytes(
       size_t block_index, BlockReadStats* stats = nullptr) const;
 
-  /// Deserializes block `block_index`. With `verify`, the payload
-  /// checksum is compared against the directory (catching any flipped
-  /// byte) and Block::Deserialize runs its O(n) integrity checks; a
-  /// mismatch is re-read once before it is ruled Corruption. The
-  /// block's row count is always validated against the directory.
+  /// Deserializes block `block_index`. The payload is read once into a
+  /// block buffer that the returned Block adopts; its columns view that
+  /// buffer instead of copying their payloads. With `verify`, the
+  /// payload checksum is compared against the directory (catching any
+  /// flipped byte) and Block::Deserialize runs its O(n) integrity
+  /// checks; a mismatch is re-read once before it is ruled Corruption.
+  /// The block's row count is always validated against the directory.
   Result<Block> ReadBlock(size_t block_index, bool verify = false,
                           BlockReadStats* stats = nullptr) const;
 
@@ -146,6 +148,15 @@ class CorfFile {
   CorfFile(int fd, std::string path, FileInfo info, CorfFileOptions options)
       : fd_(fd), path_(std::move(path)), info_(std::move(info)),
         options_(options) {}
+
+  // Payload length of block `block_index`, or OutOfRange.
+  Result<size_t> BlockLength(size_t block_index) const;
+
+  // Reads block `block_index`'s payload into `out` (BlockLength bytes)
+  // with the retries, read counters and fault injection every block
+  // read shares.
+  Status PReadBlock(size_t block_index, uint8_t* out,
+                    BlockReadStats* stats) const;
 
   int fd_ = -1;
   std::string path_;

@@ -239,7 +239,7 @@ TEST(DecodeRangeTest, DeltaCheckpointIntervalSweep) {
     } else {
       EXPECT_EQ(first, ~uint64_t{0});
     }
-    BufferReader reader(bytes);
+    BufferReader reader(SharedBytes::CopyPadded(bytes));
     uint8_t scheme_byte = 0;
     ASSERT_TRUE(reader.Read(&scheme_byte).ok());
     auto restored = enc::DeltaColumn::Deserialize(&reader).value();
@@ -332,7 +332,7 @@ TEST(DecodeRangeTest, DeltaInlineLayoutWireRoundTripBothDirections) {
         EXPECT_EQ(first, ~uint64_t{0});  // Interval marker.
       }
 
-      BufferReader reader(bytes);
+      BufferReader reader(SharedBytes::CopyPadded(bytes));
       auto restored = DeserializeEncodedColumn(&reader).value();
       auto& delta = static_cast<enc::DeltaColumn&>(*restored);
       EXPECT_EQ(delta.layout(), layout);
@@ -369,7 +369,7 @@ TEST(DecodeRangeTest, DeltaInlineLayoutWireRoundTripBothDirections) {
   std::memcpy(bytes.data() + len_offset, &truncated, sizeof(truncated));
   bytes.resize(len_offset + 8 + truncated);
   {
-    BufferReader reader(bytes);
+    BufferReader reader(SharedBytes::CopyPadded(bytes));
     EXPECT_FALSE(DeserializeEncodedColumn(&reader).ok());
   }
 
@@ -383,7 +383,8 @@ TEST(DecodeRangeTest, DeltaInlineLayoutWireRoundTripBothDirections) {
   const uint64_t absurd_count = ~uint64_t{0} - 7;
   std::memcpy(overflow_bytes.data() + count_offset, &absurd_count,
               sizeof(absurd_count));
-  BufferReader overflow_reader(overflow_bytes);
+  BufferReader overflow_reader(
+      SharedBytes::CopyPadded(overflow_bytes));
   EXPECT_FALSE(DeserializeEncodedColumn(&overflow_reader).ok());
 }
 

@@ -150,7 +150,7 @@ TEST(DeltaTest, CheckpointCountMismatchRejected) {
   // Lower the checkpoint array length prefix (first 8 bytes after the
   // scheme byte) from 4 to 3 entries — structurally valid but wrong count.
   bytes[1] = 3;
-  BufferReader reader(bytes);
+  BufferReader reader(SharedBytes::CopyPadded(bytes));
   auto reloaded = DeserializeEncodedColumn(&reader);
   EXPECT_FALSE(reloaded.ok());
 }
@@ -210,7 +210,7 @@ TEST(RleTest, NonIncreasingRunEndsRejected) {
   const size_t run_ends_data = 1 + 8 + 16 + 8;
   std::memcpy(bytes.data() + run_ends_data, "\x02\x00\x00\x00", 4);
   std::memcpy(bytes.data() + run_ends_data + 4, "\x02\x00\x00\x00", 4);
-  BufferReader reader(bytes);
+  BufferReader reader(SharedBytes::CopyPadded(bytes));
   auto reloaded = DeserializeEncodedColumn(&reader);
   EXPECT_FALSE(reloaded.ok());
 }

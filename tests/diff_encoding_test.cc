@@ -311,7 +311,7 @@ TEST(DiffEncodingTest, UnknownSchemeByteRejected) {
   diff.value()->Serialize(&writer);
   auto bytes = std::move(writer).Finish();
   bytes[0] = 200;  // No scheme uses this id.
-  BufferReader reader(bytes);
+  BufferReader reader(SharedBytes::CopyPadded(bytes));
   auto result = DeserializeEncodedColumn(&reader);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCorruption());

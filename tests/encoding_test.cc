@@ -192,7 +192,7 @@ TEST(DictTest, CorruptCodeRejectedOnDeserialize) {
   // slack. Overwrite that data byte with all-ones codes (3 = out of
   // range).
   bytes[bytes.size() - bit_util::kDecodePadBytes - 1] = 0xFF;
-  BufferReader reader(bytes);
+  BufferReader reader(SharedBytes::CopyPadded(bytes));
   auto reloaded = DeserializeEncodedColumn(&reader);
   EXPECT_FALSE(reloaded.ok());
 }
@@ -246,7 +246,7 @@ TEST(EncodingTest, TruncatedStreamsAreCorruption) {
     for (size_t cut : {size_t{1}, bytes.size() / 2, bytes.size() - 1}) {
       std::vector<uint8_t> truncated(bytes.begin(),
                                      bytes.begin() + static_cast<long>(cut));
-      BufferReader reader(truncated);
+      BufferReader reader(SharedBytes::CopyPadded(truncated));
       auto result = DeserializeEncodedColumn(&reader);
       EXPECT_FALSE(result.ok()) << "cut at " << cut;
     }

@@ -197,7 +197,7 @@ TEST(HierarchicalTest, OffsetsMonotoneInvariant) {
   // values + len(8), then 4 uint32 offsets {0,1,3,5}. Corrupt the second.
   const size_t offsets_data = 1 + 4 + 8 + 40 + 8;
   bytes[offsets_data + 4] = 0xEE;
-  BufferReader reader(bytes);
+  BufferReader reader(SharedBytes::CopyPadded(bytes));
   auto result = DeserializeEncodedColumn(&reader);
   EXPECT_FALSE(result.ok());
 }

@@ -116,7 +116,7 @@ TEST(OutlierStoreTest, SerializeRoundTrip) {
   BufferWriter writer;
   built.value().Serialize(&writer);
   auto bytes = std::move(writer).Finish();
-  BufferReader reader(bytes);
+  BufferReader reader(SharedBytes::CopyPadded(bytes));
   auto reloaded = OutlierStore::Deserialize(&reader);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   ASSERT_EQ(reloaded.value().size(), rows.size());
@@ -139,7 +139,7 @@ TEST(OutlierStoreTest, DeserializeRejectsUnsortedRows) {
   std::swap(bytes[9], bytes[13]);
   std::swap(bytes[10], bytes[14]);
   std::swap(bytes[11], bytes[15]);
-  BufferReader reader(bytes);
+  BufferReader reader(SharedBytes::CopyPadded(bytes));
   EXPECT_FALSE(OutlierStore::Deserialize(&reader).ok());
 }
 

@@ -724,6 +724,35 @@ TEST_F(ServeTest, HandleMayOutliveCache) {
   handle.Release();
 }
 
+TEST_F(ServeTest, EvictedBlockStaysDecodableWhileHeld) {
+  // A loaded block's columns view the buffer its payload was read into.
+  // Holding the block must keep that buffer alive after a one-block
+  // cache evicts it to make room for the next block.
+  auto cache = std::make_shared<BlockCache>(
+      BlockCacheOptions{.capacity_blocks = 1, .capacity_bytes = 0,
+                        .shards = 1});
+  auto reader = TableReader::Open(path_, cache);
+  ASSERT_TRUE(reader.ok());
+  std::shared_ptr<const Block> held;
+  {
+    auto pinned = reader.value()->GetBlock(0);
+    ASSERT_TRUE(pinned.ok());
+    held = pinned.value().block();
+  }  // Unpinned: block 0 is now evictable.
+  ASSERT_TRUE(reader.value()->GetBlock(1).ok());
+  const BlockCacheStats stats = cache->GetStats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.cached_blocks, 1u);
+  const std::vector<int64_t>* expected[] = {&ship_, &receipt_, &fare_};
+  for (size_t c = 0; c < held->num_columns(); ++c) {
+    std::vector<int64_t> decoded(held->rows());
+    held->column(c).DecodeAll(decoded.data());
+    EXPECT_TRUE(std::equal(decoded.begin(), decoded.end(),
+                           expected[c]->begin()))
+        << "column " << c;
+  }
+}
+
 // Acceptance (a): ScanService over a lazily read file is byte-identical
 // to materializing the whole table and scanning it in memory.
 TEST_F(ServeTest, ScanMatchesFullInMemoryScan) {

@@ -205,9 +205,8 @@ inline std::unique_ptr<enc::EncodedColumn> SerializeRoundTrip(
     const enc::EncodedColumn& column) {
   BufferWriter writer;
   column.Serialize(&writer);
-  static thread_local std::vector<uint8_t> bytes;
-  bytes = std::move(writer).Finish();
-  BufferReader reader(bytes);
+  // The column views the block buffer and keeps it alive.
+  BufferReader reader(SharedBytes::CopyPadded(std::move(writer).Finish()));
   auto result = DeserializeEncodedColumn(&reader);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (!result.ok()) {
