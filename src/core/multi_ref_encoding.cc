@@ -36,11 +36,12 @@ Status FormulaTable::Validate() const {
 
 namespace {
 
-// Materializes, per group, the per-row sum of its member columns.
-Result<std::vector<std::vector<int64_t>>> ComputeGroupSums(
+// Materializes, per group, the per-row sum of its member columns. Sums
+// wrap around (uint64), like every decode path.
+Result<std::vector<std::vector<uint64_t>>> ComputeGroupSums(
     size_t row_count, const ColumnResolver& resolver,
     const std::vector<std::vector<uint32_t>>& groups) {
-  std::vector<std::vector<int64_t>> sums(groups.size());
+  std::vector<std::vector<uint64_t>> sums(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     sums[g].assign(row_count, 0);
     for (uint32_t col : groups[g]) {
@@ -50,7 +51,7 @@ Result<std::vector<std::vector<int64_t>>> ComputeGroupSums(
             "reference column length mismatch in group");
       }
       for (size_t i = 0; i < row_count; ++i) {
-        sums[g][i] += values[i];
+        sums[g][i] += static_cast<uint64_t>(values[i]);
       }
     }
   }
@@ -64,7 +65,23 @@ MultiRefColumn::MultiRefColumn(FormulaTable table, SharedBytes bytes,
     : table_(std::move(table)),
       bytes_(std::move(bytes)),
       codes_(bytes_.data(), table_.code_bits, count),
-      outliers_(std::move(outliers)) {}
+      outliers_(std::move(outliers)) {
+  uint8_t any_groups = 0;
+  always_groups_ = 0xFF;
+  for (uint8_t formula : table_.formulas) {
+    always_groups_ &= formula;
+    any_groups |= formula;
+  }
+  masked_groups_ = any_groups & ~always_groups_;
+  const size_t num_codes = table_.formulas.size();
+  lane_masks_.resize(table_.groups.size() * num_codes);
+  for (size_t g = 0; g < table_.groups.size(); ++g) {
+    for (size_t code = 0; code < num_codes; ++code) {
+      lane_masks_[g * num_codes + code] =
+          uint64_t{0} - ((table_.formulas[code] >> g) & 1u);
+    }
+  }
+}
 
 Result<std::unique_ptr<MultiRefColumn>> MultiRefColumn::Encode(
     std::span<const int64_t> target, const ColumnResolver& resolver,
@@ -84,13 +101,13 @@ Result<std::unique_ptr<MultiRefColumn>> MultiRefColumn::Encode(
     int matched_code = -1;
     for (size_t c = 0; c < table.formulas.size(); ++c) {
       const uint8_t mask = table.formulas[c];
-      int64_t sum = 0;
+      uint64_t sum = 0;
       for (size_t g = 0; g < table.groups.size(); ++g) {
         if (mask & (1u << g)) {
           sum += group_sums[g][i];
         }
       }
-      if (sum == target[i]) {
+      if (sum == static_cast<uint64_t>(target[i])) {
         matched_code = static_cast<int>(c);
         break;
       }
@@ -136,13 +153,13 @@ Result<FormulaTable> MultiRefColumn::DeriveFormulas(
   std::vector<size_t> hits(mask_count, 0);
   for (size_t i = 0; i < sample; ++i) {
     for (size_t mask = 1; mask < mask_count; ++mask) {
-      int64_t sum = 0;
+      uint64_t sum = 0;
       for (size_t g = 0; g < groups.size(); ++g) {
         if (mask & (size_t{1} << g)) {
           sum += group_sums[g][i];
         }
       }
-      if (sum == target[i]) {
+      if (sum == static_cast<uint64_t>(target[i])) {
         ++hits[mask];
       }
     }
@@ -244,69 +261,90 @@ Status MultiRefColumn::BindReferences(
   return Status::OK();
 }
 
-int64_t MultiRefColumn::GroupSum(size_t g, size_t row) const {
-  int64_t sum = 0;
-  for (const enc::EncodedColumn* col : bound_groups_[g]) {
-    sum += col->Get(row);
-  }
-  return sum;
-}
-
 int64_t MultiRefColumn::Get(size_t row) const {
   assert(!bound_groups_.empty() && "references not bound");
   if (const auto v = outliers_.Find(static_cast<uint32_t>(row))) {
     return *v;
   }
   const uint8_t mask = table_.formulas[codes_.Get(row)];
-  int64_t sum = 0;
+  uint64_t sum = 0;  // Wraps like the ranged paths.
   for (size_t g = 0; g < bound_groups_.size(); ++g) {
     if (mask & (1u << g)) {
-      sum += GroupSum(g, row);
+      for (const enc::EncodedColumn* col : bound_groups_[g]) {
+        sum += static_cast<uint64_t>(col->Get(row));
+      }
     }
   }
-  return sum;
+  return static_cast<int64_t>(sum);
+}
+
+template <typename Fetch>
+void MultiRefColumn::Combine(const uint64_t* codes, size_t len,
+                             const Fetch& fetch, int64_t* out) const {
+  // Column at a time, with no per-row branch: a group every formula adds
+  // is summed unconditionally (its first column materializes straight
+  // into `out`), a group some formulas add goes through an all-ones/zero
+  // lane mask per row, and a group no formula adds is never read. The
+  // sums wrap around like SumColumn's.
+  uint64_t* sums = reinterpret_cast<uint64_t*>(out);
+  int64_t values[enc::kMorselRows];
+  bool written = false;
+  for (size_t g = 0; g < bound_groups_.size(); ++g) {
+    if (!((always_groups_ >> g) & 1u)) {
+      continue;
+    }
+    for (const enc::EncodedColumn* col : bound_groups_[g]) {
+      if (!written) {
+        fetch(*col, out);
+        written = true;
+        continue;
+      }
+      fetch(*col, values);
+      for (size_t i = 0; i < len; ++i) {
+        sums[i] += static_cast<uint64_t>(values[i]);
+      }
+    }
+  }
+  if (!written) {
+    std::fill_n(out, len, 0);
+  }
+  uint64_t lanes[enc::kMorselRows];
+  const size_t num_codes = table_.formulas.size();
+  for (size_t g = 0; g < bound_groups_.size(); ++g) {
+    if (!((masked_groups_ >> g) & 1u)) {
+      continue;
+    }
+    const uint64_t* group_lanes = lane_masks_.data() + g * num_codes;
+    for (size_t i = 0; i < len; ++i) {
+      lanes[i] = group_lanes[codes[i]];
+    }
+    for (const enc::EncodedColumn* col : bound_groups_[g]) {
+      fetch(*col, values);
+      for (size_t i = 0; i < len; ++i) {
+        sums[i] += static_cast<uint64_t>(values[i]) & lanes[i];
+      }
+    }
+  }
 }
 
 void MultiRefColumn::GatherRange(std::span<const uint32_t> rows,
                                  int64_t* out) const {
   assert(!bound_groups_.empty() && "references not bound");
-  // Column-at-a-time in cache-sized chunks: one positioned GatherRange
-  // per reference column per chunk (each scheme's sparse fast path),
-  // instead of one virtual Get per (row, column) pair. The formula codes
-  // are gathered from the packed stream in bulk too; group sums are
-  // accumulated per chunk, then combined per row through the mask.
-  constexpr size_t kChunk = 4096;
-  const size_t num_groups = bound_groups_.size();
-  std::vector<std::vector<int64_t>> group_sums(num_groups);
-  for (auto& sums : group_sums) {
-    sums.resize(kChunk);
-  }
-  std::vector<int64_t> scratch(kChunk);
-  std::vector<uint64_t> codes(kChunk);
-  for (size_t begin = 0; begin < rows.size(); begin += kChunk) {
-    const size_t len = std::min(kChunk, rows.size() - begin);
-    const auto chunk = rows.subspan(begin, len);
-    for (size_t g = 0; g < num_groups; ++g) {
-      std::fill_n(group_sums[g].data(), len, 0);
-      for (const enc::EncodedColumn* col : bound_groups_[g]) {
-        col->GatherRange(chunk, scratch.data());
-        for (size_t i = 0; i < len; ++i) {
-          group_sums[g][i] += scratch[i];
-        }
-      }
-    }
-    simd::GatherBits(bytes_.data(), codes_.bit_width(), chunk.data(), len,
-                     codes.data());
-    for (size_t i = 0; i < len; ++i) {
-      const uint8_t mask = table_.formulas[codes[i]];
-      int64_t sum = 0;
-      for (size_t g = 0; g < num_groups; ++g) {
-        if (mask & (1u << g)) {
-          sum += group_sums[g][i];
-        }
-      }
-      out[begin + i] = sum;
-    }
+  // Morsel-sized chunks: one positioned GatherRange per reference column
+  // per chunk (each scheme's sparse fast path) and one bulk gather of
+  // the formula codes.
+  uint64_t codes[enc::kMorselRows];
+  for (size_t begin = 0; begin < rows.size(); begin += enc::kMorselRows) {
+    const auto chunk =
+        rows.subspan(begin, std::min(enc::kMorselRows, rows.size() - begin));
+    simd::GatherBits(bytes_.data(), codes_.bit_width(), chunk.data(),
+                     chunk.size(), codes);
+    Combine(
+        codes, chunk.size(),
+        [chunk](const enc::EncodedColumn& col, int64_t* dst) {
+          col.GatherRange(chunk, dst);
+        },
+        out + begin);
   }
   outliers_.Patch(rows, out);
 }
@@ -314,37 +352,18 @@ void MultiRefColumn::GatherRange(std::span<const uint32_t> rows,
 void MultiRefColumn::DecodeRange(size_t row_begin, size_t count,
                                  int64_t* out) const {
   assert(!bound_groups_.empty() && "references not bound");
-  // Morsel-at-a-time: each reference column contributes one ranged
-  // decode per morsel (so the whole working set stays cache-resident),
-  // group sums are accumulated per morsel, then combined per row via the
-  // formula mask.
-  const size_t num_groups = bound_groups_.size();
-  std::vector<int64_t> group_sums(num_groups * enc::kMorselRows);
-  std::vector<int64_t> scratch(enc::kMorselRows);
-  std::vector<uint64_t> codes(enc::kMorselRows);
+  // Morsel at a time, so each reference column's ranged decode stays
+  // cache-resident while it is combined.
+  uint64_t codes[enc::kMorselRows];
   while (count > 0) {
-    const size_t len = count < enc::kMorselRows ? count : enc::kMorselRows;
-    for (size_t g = 0; g < num_groups; ++g) {
-      int64_t* sums = group_sums.data() + g * enc::kMorselRows;
-      std::fill_n(sums, len, 0);
-      for (const enc::EncodedColumn* col : bound_groups_[g]) {
-        col->DecodeRange(row_begin, len, scratch.data());
-        for (size_t i = 0; i < len; ++i) {
-          sums[i] += scratch[i];
-        }
-      }
-    }
-    codes_.DecodeRange(row_begin, len, codes.data());
-    for (size_t i = 0; i < len; ++i) {
-      const uint8_t mask = table_.formulas[codes[i]];
-      int64_t sum = 0;
-      for (size_t g = 0; g < num_groups; ++g) {
-        if (mask & (1u << g)) {
-          sum += group_sums[g * enc::kMorselRows + i];
-        }
-      }
-      out[i] = sum;
-    }
+    const size_t len = std::min(count, enc::kMorselRows);
+    codes_.DecodeRange(row_begin, len, codes);
+    Combine(
+        codes, len,
+        [row_begin, len](const enc::EncodedColumn& col, int64_t* dst) {
+          col.DecodeRange(row_begin, len, dst);
+        },
+        out);
     outliers_.PatchRange(row_begin, len, out);
     row_begin += len;
     out += len;

@@ -110,13 +110,24 @@ class MultiRefColumn final : public enc::EncodedColumn {
   MultiRefColumn(FormulaTable table, SharedBytes bytes, size_t count,
                  OutlierStore outliers);
 
-  // Sum of the bound columns of group `g` at `row`.
-  int64_t GroupSum(size_t g, size_t row) const;
+  // Writes the formula sums of `len` (<= enc::kMorselRows) rows with
+  // formula codes `codes` into `out`, shared by DecodeRange and
+  // GatherRange. `fetch(column, dst)` materializes those rows of one
+  // bound reference column into `dst`.
+  template <typename Fetch>
+  void Combine(const uint64_t* codes, size_t len, const Fetch& fetch,
+               int64_t* out) const;
 
   FormulaTable table_;
   SharedBytes bytes_;  // Bit-packed formula codes.
   BitReader codes_;
   OutlierStore outliers_;
+  // Groups every formula adds, and groups only some formulas add.
+  uint8_t always_groups_ = 0;
+  uint8_t masked_groups_ = 0;
+  // lane_masks_[g * formulas.size() + code]: all ones when formula
+  // `code` adds group g, else zero.
+  std::vector<uint64_t> lane_masks_;
   // Bound reference columns, aligned with table_.groups.
   std::vector<std::vector<const enc::EncodedColumn*>> bound_groups_;
 };

@@ -83,9 +83,9 @@ void OutlierStore::Patch(std::span<const uint32_t> rows, int64_t* out) const {
     while (o < rows_.size() && rows_[o] < rows[i]) {
       ++o;
     }
+    // `o` stays put on a match: a repeated position is patched again.
     if (o < rows_.size() && rows_[o] == rows[i]) {
       out[i] = value(o);
-      ++o;
     }
   }
 }

@@ -67,7 +67,9 @@ class OutlierStore {
   uint32_t row(size_t i) const { return rows_[i]; }
   /// Value of the i-th outlier.
   int64_t value(size_t i) const {
-    return base_ + static_cast<int64_t>(values_.Get(i));
+    // Unsigned, like ForColumn::Get: base + offset wraps to the value.
+    return static_cast<int64_t>(static_cast<uint64_t>(base_) +
+                                values_.Get(i));
   }
 
  private:

@@ -33,7 +33,9 @@ class ForColumn final : public EncodedColumn {
   size_t size() const override { return reader_.size(); }
   size_t SizeBytes() const override;
   int64_t Get(size_t row) const override {
-    return base_ + static_cast<int64_t>(reader_.Get(row));
+    // Unsigned, like simd::AddConst: base + offset wraps to the value.
+    return static_cast<int64_t>(static_cast<uint64_t>(base_) +
+                                reader_.Get(row));
   }
   void GatherRange(std::span<const uint32_t> rows,
                    int64_t* out) const override;

@@ -1,13 +1,15 @@
 #include "query/aggregate.h"
 
 #include <algorithm>
+#include <cassert>
+#include <functional>
 #include <type_traits>
-#include <vector>
 
 #include "common/simd/simd.h"
 #include "core/ref_dispatch.h"
 #include "encoding/dictionary.h"
 #include "encoding/for.h"
+#include "query/kernel_counters.h"
 #include "query/morsel.h"
 
 namespace corra::query {
@@ -47,20 +49,6 @@ void MinMaxGeneric(const enc::EncodedColumn& column, int64_t* min,
   *max = hi;
 }
 
-// Histogram of dictionary code usage (small dictionaries only), built
-// from ranged code unpacks.
-std::vector<uint64_t> CodeHistogram(const enc::DictColumn& column) {
-  std::vector<uint64_t> counts(column.dictionary().size(), 0);
-  uint64_t codes[kMorselRows];
-  ForEachMorsel(0, column.size(), [&](size_t begin, size_t len) {
-    column.DecodeCodes(begin, len, codes);
-    for (size_t i = 0; i < len; ++i) {
-      ++counts[codes[i]];
-    }
-  });
-  return counts;
-}
-
 // Extreme *used* dictionary codes in one pass over the packed codes.
 void MinMaxCodes(const enc::DictColumn& column, uint64_t* min_code,
                  uint64_t* max_code) {
@@ -79,8 +67,6 @@ void MinMaxCodes(const enc::DictColumn& column, uint64_t* min_code,
   *max_code = hi;
 }
 
-constexpr size_t kSmallDict = 1 << 16;
-
 }  // namespace
 
 int64_t SumColumn(const enc::EncodedColumn& column) {
@@ -91,18 +77,7 @@ int64_t SumColumn(const enc::EncodedColumn& column) {
   uint64_t sum = 0;
   DispatchRef(column, [&](const auto& col) {
     using Column = std::decay_t<decltype(col)>;
-    if constexpr (std::is_same_v<Column, enc::DictColumn>) {
-      if (col.dictionary().size() <= kSmallDict) {
-        // Small dictionary: per-code histogram, one multiply per entry.
-        const auto counts = CodeHistogram(col);
-        for (size_t code = 0; code < counts.size(); ++code) {
-          sum += counts[code] *
-                 static_cast<uint64_t>(col.dictionary()[code]);
-        }
-        return;
-      }
-      sum = SumGeneric(col);
-    } else if constexpr (std::is_same_v<Column, enc::ForColumn>) {
+    if constexpr (std::is_same_v<Column, enc::ForColumn>) {
       // sum = n * base + sum of packed offsets: fold the un-rebased
       // morsel, skip the per-row rebase entirely.
       uint64_t offsets[kMorselRows];
@@ -112,7 +87,8 @@ int64_t SumColumn(const enc::EncodedColumn& column) {
       });
       sum += static_cast<uint64_t>(col.base()) * n;
     } else {
-      // BitPack/Plain and every other scheme: ranged decode + fold.
+      // Every other scheme, Dict included: ranged decode + fold (a
+      // per-code histogram measured 1.5-4.5x slower on Dict).
       sum = SumGeneric(col);
     }
   });
@@ -186,6 +162,59 @@ std::optional<MinMax> MinMaxColumn(const enc::EncodedColumn& column) {
     }
   });
   return result;
+}
+
+std::optional<int64_t> AggregateAt(const enc::EncodedColumn& column,
+                                   std::span<const uint32_t> rows,
+                                   AggregateOp op) {
+  assert(std::adjacent_find(rows.begin(), rows.end(),
+                            std::greater_equal<>()) == rows.end());
+  if (rows.empty()) {
+    return op == AggregateOp::kSum ? std::optional<int64_t>(0)
+                                   : std::nullopt;
+  }
+  if (rows.size() == 1) {
+    return column.Get(rows[0]);  // A point read, as in ScanColumn.
+  }
+  uint64_t sum = 0;
+  int64_t lo = INT64_MAX;
+  int64_t hi = INT64_MIN;
+  auto fold = [&](const int64_t* values, size_t len) {
+    if (op == AggregateOp::kSum) {
+      sum += simd::SumU64(reinterpret_cast<const uint64_t*>(values), len);
+      return;
+    }
+    int64_t morsel_min;
+    int64_t morsel_max;
+    simd::MinMaxI64(values, len, &morsel_min, &morsel_max);
+    lo = std::min(lo, morsel_min);
+    hi = std::max(hi, morsel_max);
+  };
+  // Strictly increasing positions spanning exactly rows.size() rows are
+  // a dense range.
+  if (rows.back() - rows.front() + 1 == rows.size()) {
+    CountDecodeRows(column.scheme(), rows.size());
+    ForEachDecodedMorsel(column, rows.front(), rows.size(),
+                         [&](size_t, const int64_t* values, size_t len) {
+                           fold(values, len);
+                         });
+  } else {
+    CountGatherRows(column.scheme(), rows.size());
+    int64_t values[kMorselRows];
+    ForEachMorsel(0, rows.size(), [&](size_t begin, size_t len) {
+      column.GatherRange(rows.subspan(begin, len), values);
+      fold(values, len);
+    });
+  }
+  switch (op) {
+    case AggregateOp::kSum:
+      return static_cast<int64_t>(sum);
+    case AggregateOp::kMin:
+      return lo;
+    case AggregateOp::kMax:
+      return hi;
+  }
+  return std::nullopt;
 }
 
 }  // namespace corra::query

@@ -67,23 +67,6 @@ Status ValidateColumns(const TableReader& reader,
   return Status::OK();
 }
 
-void FoldAggregate(AggregateOp op, std::span<const int64_t> values,
-                   BlockPartial* out) {
-  for (int64_t v : values) {
-    switch (op) {
-      case AggregateOp::kSum:
-        out->agg_sum += static_cast<uint64_t>(v);
-        break;
-      case AggregateOp::kMin:
-        out->agg_min = out->agg_min ? std::min(*out->agg_min, v) : v;
-        break;
-      case AggregateOp::kMax:
-        out->agg_max = out->agg_max ? std::max(*out->agg_max, v) : v;
-        break;
-    }
-  }
-}
-
 // Executes `request` against one pinned block. `base` is the global
 // position of the block's first row.
 void ScanOneBlock(const Block& block, uint64_t base,
@@ -128,37 +111,30 @@ void ScanOneBlock(const Block& block, uint64_t base,
   }
 
   if (request.aggregate) {
-    const size_t col = request.aggregate_column;
-    if (all_rows) {
-      // Whole-block aggregates run in the compressed domain.
-      switch (*request.aggregate) {
-        case AggregateOp::kSum:
-          out->agg_sum =
-              static_cast<uint64_t>(query::SumColumn(block.column(col)));
-          break;
-        case AggregateOp::kMin:
-          out->agg_min = query::MinColumn(block.column(col));
-          break;
-        case AggregateOp::kMax:
-          out->agg_max = query::MaxColumn(block.column(col));
-          break;
-      }
+    const enc::EncodedColumn& column = block.column(request.aggregate_column);
+    const AggregateOp op = *request.aggregate;
+    // Whole-block aggregates run in the compressed domain; filtered ones
+    // fold the matches morsel by morsel.
+    std::optional<int64_t> value;
+    if (!all_rows) {
+      value = query::AggregateAt(column, selection, op);
+    } else if (op == AggregateOp::kSum) {
+      value = query::SumColumn(column);
+    } else if (op == AggregateOp::kMin) {
+      value = query::MinColumn(column);
     } else {
-      // Reuse the projection's decode when the aggregate column was
-      // already materialized for this selection.
-      const auto projected = std::find(request.project_columns.begin(),
-                                       request.project_columns.end(), col);
-      if (projected != request.project_columns.end()) {
-        FoldAggregate(
-            *request.aggregate,
-            out->columns[static_cast<size_t>(
-                projected - request.project_columns.begin())],
-            out);
-      } else {
-        const std::vector<int64_t> values =
-            query::ScanColumn(block, col, selection);
-        FoldAggregate(*request.aggregate, values, out);
-      }
+      value = query::MaxColumn(column);
+    }
+    switch (op) {
+      case AggregateOp::kSum:
+        out->agg_sum = static_cast<uint64_t>(value.value_or(0));
+        break;
+      case AggregateOp::kMin:
+        out->agg_min = value;
+        break;
+      case AggregateOp::kMax:
+        out->agg_max = value;
+        break;
     }
   }
 }

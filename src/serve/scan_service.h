@@ -74,13 +74,14 @@
 #include "common/result.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/aggregate.h"
 #include "serve/coalescer.h"
 #include "serve/read_ahead.h"
 #include "serve/table_reader.h"
 
 namespace corra::serve {
 
-enum class AggregateOp { kSum, kMin, kMax };
+using AggregateOp = query::AggregateOp;
 
 /// One scan over one table: an optional range predicate, optional
 /// projections, optional positions, optional aggregate — evaluated in a

@@ -9,6 +9,8 @@
 #include "encoding/delta.h"
 #include "encoding/dictionary.h"
 #include "encoding/for.h"
+#include "encoding/plain.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace corra::query {
@@ -64,6 +66,89 @@ TEST_P(AggregateTest, GenericPath) {
   EXPECT_EQ(SumColumn(*column), expected.sum);
   EXPECT_EQ(MinColumn(*column), expected.min);
   EXPECT_EQ(MaxColumn(*column), expected.max);
+}
+
+// Selections FilterToSelection can return: empty, one row, contiguous
+// runs (inside a morsel, straddling one, the whole column), and sparse or
+// dense random ones longer than a morsel.
+std::vector<std::vector<uint32_t>> AggregateSelections(size_t n) {
+  std::vector<std::vector<uint32_t>> selections = {{}, {7}};
+  auto run = [](size_t begin, size_t count) {
+    std::vector<uint32_t> rows(count);
+    for (size_t i = 0; i < count; ++i) {
+      rows[i] = static_cast<uint32_t>(begin + i);
+    }
+    return rows;
+  };
+  selections.push_back(run(10, 2));
+  selections.push_back(run(2000, 100));
+  selections.push_back(run(0, n));
+  Rng rng(12);
+  for (const double rate : {0.05, 0.9}) {
+    std::vector<uint32_t> rows;
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.NextDouble() < rate) {
+        rows.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    selections.push_back(std::move(rows));
+  }
+  return selections;
+}
+
+uint64_t KernelRows(const char* counter, enc::Scheme scheme) {
+  return obs::Registry::Default()
+      .counter(std::string(counter) + "{scheme=\"" +
+               std::string(enc::SchemeToString(scheme)) + "\"}")
+      .Value();
+}
+
+TEST_P(AggregateTest, AggregateAtMatchesFoldOverSelection) {
+  const size_t n = 5000;  // More than two morsels.
+  const auto values = MakeValues(GetParam(), n, 4);
+  std::vector<std::unique_ptr<enc::EncodedColumn>> columns;
+  columns.push_back(enc::ForColumn::Encode(values).value());
+  columns.push_back(enc::DictColumn::Encode(values).value());
+  columns.push_back(enc::DeltaColumn::Encode(values).value());
+  columns.push_back(enc::PlainColumn::Encode(values));
+  for (const auto& column : columns) {
+    for (const auto& rows : AggregateSelections(n)) {
+      SCOPED_TRACE(std::string(enc::SchemeToString(column->scheme())) +
+                   ", " + std::to_string(rows.size()) + " rows");
+      std::vector<int64_t> selected;
+      for (uint32_t row : rows) {
+        selected.push_back(values[row]);
+      }
+      const Expected expected = Reference(selected);
+      const uint64_t decoded =
+          KernelRows("query.decode_rows", column->scheme());
+      const uint64_t gathered =
+          KernelRows("query.gather_rows", column->scheme());
+      EXPECT_EQ(AggregateAt(*column, rows, AggregateOp::kSum), expected.sum);
+      const auto min = AggregateAt(*column, rows, AggregateOp::kMin);
+      const auto max = AggregateAt(*column, rows, AggregateOp::kMax);
+      if (rows.empty()) {
+        EXPECT_FALSE(min.has_value());
+        EXPECT_FALSE(max.has_value());
+      } else {
+        EXPECT_EQ(min, expected.min);
+        EXPECT_EQ(max, expected.max);
+      }
+      if (!obs::Enabled()) {
+        continue;
+      }
+      // Three calls, counted as ScanColumn counts: a point read moves no
+      // counter, a contiguous run counts as decoded, the rest as
+      // gathered.
+      const bool contiguous =
+          rows.size() > 1 && rows.back() - rows.front() + 1 == rows.size();
+      const bool sparse = rows.size() > 1 && !contiguous;
+      EXPECT_EQ(KernelRows("query.decode_rows", column->scheme()) - decoded,
+                contiguous ? 3 * rows.size() : 0);
+      EXPECT_EQ(KernelRows("query.gather_rows", column->scheme()) - gathered,
+                sparse ? 3 * rows.size() : 0);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Distributions, AggregateTest,

@@ -531,5 +531,122 @@ TEST(DecodeRangeTest, MultiRef) {
   ExpectRangedKernelsMatchGet(*column, 18);
 }
 
+// One randomized MultiRef table: `group_sizes[g]` reference columns per
+// group, the given formula set and code width. Every row draws a formula
+// uniformly; rows 0, 2047, 2048 (the first morsel boundary), the last
+// row and ~1% of the rest are outliers. With `extreme`, reference values
+// sit within 1000 of INT64_MIN or INT64_MAX, so the formula sums wrap.
+// Reference columns alternate FOR and Plain.
+void ExpectRandomMultiRefMatches(const std::vector<size_t>& group_sizes,
+                                 const std::vector<uint8_t>& formulas,
+                                 int code_bits, bool extreme, uint64_t seed) {
+  Rng rng(seed);
+  FormulaTable table;
+  table.formulas = formulas;
+  table.code_bits = code_bits;
+  std::vector<std::vector<int64_t>> columns;
+  for (size_t size : group_sizes) {
+    std::vector<uint32_t> group;
+    for (size_t c = 0; c < size; ++c) {
+      group.push_back(static_cast<uint32_t>(columns.size()));
+      std::vector<int64_t> values(kRows);
+      const bool high = rng.NextDouble() < 0.5;
+      for (int64_t& v : values) {
+        v = !extreme ? rng.Uniform(-5000, 5000)
+            : high   ? INT64_MAX - rng.Uniform(0, 1000)
+                     : INT64_MIN + rng.Uniform(0, 1000);
+      }
+      columns.push_back(std::move(values));
+    }
+    table.groups.push_back(std::move(group));
+  }
+  // Wrapped sum of the groups formula `mask` adds, at `row`.
+  auto formula_sum = [&](uint8_t mask, size_t row) {
+    uint64_t sum = 0;
+    for (size_t g = 0; g < table.groups.size(); ++g) {
+      if (mask & (1u << g)) {
+        for (uint32_t col : table.groups[g]) {
+          sum += static_cast<uint64_t>(columns[col][row]);
+        }
+      }
+    }
+    return static_cast<int64_t>(sum);
+  };
+  std::vector<int64_t> target(kRows);
+  size_t outliers = 0;
+  for (size_t i = 0; i < kRows; ++i) {
+    const bool outlier = i == 0 || i == 2047 || i == 2048 ||
+                         i == kRows - 1 || rng.NextDouble() < 0.01;
+    if (!outlier) {
+      const size_t code = static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(formulas.size()) - 1));
+      target[i] = formula_sum(formulas[code], i);
+      continue;
+    }
+    // A value no formula produces.
+    bool matches = true;
+    while (matches) {
+      target[i] = static_cast<int64_t>(rng.Next());
+      matches = false;
+      for (uint8_t mask : formulas) {
+        matches = matches || formula_sum(mask, i) == target[i];
+      }
+    }
+    ++outliers;
+  }
+  auto column = MultiRefColumn::Encode(
+                    target,
+                    [&](uint32_t col) -> std::span<const int64_t> {
+                      return columns[col];
+                    },
+                    table)
+                    .value();
+  ASSERT_EQ(column->outliers().size(), outliers);
+  std::vector<std::unique_ptr<enc::EncodedColumn>> refs;
+  std::vector<const enc::EncodedColumn*> bound;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    if (c % 2 == 0) {
+      refs.push_back(enc::ForColumn::Encode(columns[c]).value());
+    } else {
+      refs.push_back(enc::PlainColumn::Encode(columns[c]));
+    }
+    bound.push_back(refs.back().get());
+  }
+  ASSERT_TRUE(column->BindReferences(bound).ok());
+  for (size_t i = 0; i < kRows; ++i) {
+    ASSERT_EQ(column->Get(i), target[i]) << "row " << i;
+  }
+  ExpectRangedKernelsMatchGet(*column, seed);
+}
+
+TEST(DecodeRangeTest, MultiRefRandomTables) {
+  Rng rng(71);
+  for (const bool extreme : {false, true}) {
+    SCOPED_TRACE(extreme ? "extreme values" : "small values");
+    // Group 0 in every formula, group 1 in some, group 2 in none.
+    ExpectRandomMultiRefMatches({3, 1, 2}, {0b001, 0b011}, 2, extreme, 1);
+    // No group in every formula: the combine starts from zero.
+    ExpectRandomMultiRefMatches({1, 2}, {0b01, 0b10}, 1, extreme, 2);
+    // One group in every formula, none masked.
+    ExpectRandomMultiRefMatches({2}, {0b1}, 1, extreme, 3);
+    // Eight groups, every non-empty subset a formula (255 of 256 codes).
+    std::vector<uint8_t> all_subsets;
+    for (int mask = 1; mask < 256; ++mask) {
+      all_subsets.push_back(static_cast<uint8_t>(mask));
+    }
+    ExpectRandomMultiRefMatches({1, 2, 1, 1, 3, 1, 1, 2}, all_subsets, 8,
+                                extreme, 4);
+    // Eight groups, a random set of formulas that all contain group 5.
+    std::vector<uint8_t> with_group5;
+    for (int mask = 1; mask < 256; ++mask) {
+      if ((mask & 0b100000) && rng.NextDouble() < 0.5) {
+        with_group5.push_back(static_cast<uint8_t>(mask));
+      }
+    }
+    ExpectRandomMultiRefMatches({2, 1, 1, 1, 1, 2, 1, 1}, with_group5, 8,
+                                extreme, 5);
+  }
+}
+
 }  // namespace
 }  // namespace corra

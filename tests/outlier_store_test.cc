@@ -60,6 +60,12 @@ TEST(OutlierStoreTest, PatchOverwritesOnlyOutlierPositions) {
   std::vector<int64_t> out = {10, 20, 30, 40, 50};
   store.Patch(selection, out.data());
   EXPECT_EQ(out, (std::vector<int64_t>{10, -1, 30, -2, 50}));
+
+  // A repeated position is patched at every occurrence.
+  const std::vector<uint32_t> repeated = {2, 2, 3, 6, 6, 6};
+  out = {10, 20, 30, 40, 50, 60};
+  store.Patch(repeated, out.data());
+  EXPECT_EQ(out, (std::vector<int64_t>{-1, -1, 30, -2, -2, -2}));
 }
 
 TEST(OutlierStoreTest, PatchWithEmptySelectionOrStore) {

@@ -850,8 +850,8 @@ TEST_F(ServeTest, AggregatesMatchDecodedFold) {
             static_cast<int64_t>(expected_filtered_sum));
   EXPECT_EQ(filtered.value().rows_matched, oracle.positions.size());
 
-  // Aggregating a column that is also projected reuses the projection's
-  // decode and must produce the same sum and values.
+  // Aggregating a column that is also projected must produce the same
+  // sum and values.
   ScanRequest projected_sum = filtered_sum;
   projected_sum.project_columns = {2};
   auto both = service.Execute(*reader.value(), projected_sum);
@@ -859,6 +859,111 @@ TEST_F(ServeTest, AggregatesMatchDecodedFold) {
   EXPECT_EQ(both.value().agg_sum,
             static_cast<int64_t>(expected_filtered_sum));
   EXPECT_EQ(both.value().columns[0], oracle.fare);
+}
+
+// Filtered Sum/Min/Max against a raw-vector oracle, over a vertical and
+// a multi-reference column: contiguous matches (a range over a sorted
+// column), scattered matches, and blocks whose stats overlap the
+// predicate but hold no match (so the per-block selection is empty).
+TEST(ScanServiceAggregateTest, FilteredAggregatesMatchOracle) {
+  constexpr size_t kRows = 6000;
+  constexpr size_t kBlockRows = 2500;  // Blocks span more than a morsel.
+  Rng rng(33);
+  std::vector<std::vector<int64_t>> cols(6, std::vector<int64_t>(kRows));
+  for (size_t i = 0; i < kRows; ++i) {
+    cols[0][i] = static_cast<int64_t>(i / 3);    // Sorted.
+    cols[1][i] = 2 * rng.Uniform(0, 5000);       // Even only.
+    cols[2][i] = rng.Uniform(-5000, 5000);
+    cols[3][i] = rng.Uniform(0, 300);
+    cols[4][i] = rng.Uniform(100, 200);
+    const double u = rng.NextDouble();
+    cols[5][i] = u < 0.02   ? rng.Uniform(1 << 20, 1 << 21)  // Outlier.
+                 : u < 0.4  ? cols[2][i]
+                 : u < 0.9  ? cols[2][i] + cols[3][i]
+                            : cols[2][i] + cols[3][i] + cols[4][i];
+  }
+  Table table;
+  for (size_t c = 0; c < cols.size(); ++c) {
+    ASSERT_TRUE(
+        table.AddColumn(Column::Int64("c" + std::to_string(c), cols[c]))
+            .ok());
+  }
+  CompressionPlan plan = CompressionPlan::AllAuto(cols.size());
+  plan.block_rows = kBlockRows;
+  ColumnPlan& total = plan.columns[5];
+  total.auto_vertical = false;
+  total.scheme = enc::Scheme::kMultiRef;
+  total.formulas.groups = {{2}, {3}, {4}};
+  total.formulas.formulas = {0b001, 0b011, 0b111};
+  total.formulas.code_bits = 2;
+  auto compressed = CorraCompressor::Compress(table, plan);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  ASSERT_EQ(compressed.value().block(0).column(5).scheme(),
+            enc::Scheme::kMultiRef);
+  const std::string path =
+      ::testing::TempDir() + "corra_serve_aggregate_test.corf";
+  ASSERT_TRUE(WriteCompressedTable(compressed.value(), path).ok());
+  auto reader = TableReader::Open(path, std::make_shared<BlockCache>());
+  ASSERT_TRUE(reader.ok());
+  ScanService service(ScanService::Options{.num_threads = 2});
+
+  struct Filter {
+    const char* name;
+    size_t column;
+    int64_t lo, hi;
+  };
+  const Filter filters[] = {
+      {"contiguous", 0, 300, 1200},   // Rows 900..3602, two blocks.
+      {"scattered", 1, 2000, 6000},
+      {"no match", 1, 2001, 2001},    // Odd: overlaps stats, never hit.
+  };
+  for (const Filter& filter : filters) {
+    for (const size_t agg_col : {size_t{2}, size_t{5}}) {
+      SCOPED_TRACE(std::string(filter.name) + ", column " +
+                   std::to_string(agg_col));
+      uint64_t sum = 0;
+      std::optional<int64_t> min, max;
+      uint64_t matched = 0;
+      for (size_t i = 0; i < kRows; ++i) {
+        const int64_t key = cols[filter.column][i];
+        if (key < filter.lo || key > filter.hi) {
+          continue;
+        }
+        const int64_t v = cols[agg_col][i];
+        sum += static_cast<uint64_t>(v);
+        min = min ? std::min(*min, v) : v;
+        max = max ? std::max(*max, v) : v;
+        ++matched;
+      }
+      ScanRequest request;
+      request.filter_column = filter.column;
+      request.filter_lo = filter.lo;
+      request.filter_hi = filter.hi;
+      request.aggregate_column = agg_col;
+      for (const AggregateOp op :
+           {AggregateOp::kSum, AggregateOp::kMin, AggregateOp::kMax}) {
+        request.aggregate = op;
+        auto result = service.Execute(*reader.value(), request);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(result.value().rows_matched, matched);
+        switch (op) {
+          case AggregateOp::kSum:
+            EXPECT_EQ(result.value().agg_sum, static_cast<int64_t>(sum));
+            break;
+          case AggregateOp::kMin:
+            EXPECT_EQ(result.value().agg_min, min);
+            break;
+          case AggregateOp::kMax:
+            EXPECT_EQ(result.value().agg_max, max);
+            break;
+        }
+        if (filter.column == 1) {
+          EXPECT_EQ(result.value().blocks_skipped, 0u);
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // Acceptance (b): with cache capacity below the file's block count,
