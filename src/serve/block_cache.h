@@ -114,7 +114,7 @@ struct BlockCacheStats {
   uint64_t erased_blocks = 0;
   /// Hits that first waited out another caller's in-flight load of the
   /// same block (single-flight absorption — e.g. a scan arriving while
-  /// the read-ahead thread is still filling the block). A subset of
+  /// another request is still filling the block). A subset of
   /// hits; not part of the ledger invariant.
   uint64_t load_waits = 0;
   /// Requests failed fast by the quarantine with the original load

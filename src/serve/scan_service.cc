@@ -1,11 +1,11 @@
 #include "serve/scan_service.h"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
 
+#include "encoding/scheme.h"
 #include "query/aggregate.h"
 #include "query/filter.h"
 #include "query/scan.h"
@@ -16,7 +16,7 @@ namespace corra::serve {
 namespace {
 
 // Partial results of one block's share of a request; merged in block
-// order after the pool drains.
+// order once every block task has finished.
 struct BlockPartial {
   Status status;
   uint64_t rows_scanned = 0;
@@ -28,9 +28,12 @@ struct BlockPartial {
   std::optional<int64_t> agg_max;
 };
 
-// Counts down one slot per block unit; the request thread blocks until
-// every one of its units is done — possibly served by another request's
-// batch executor (see Coalescer).
+// Counts down one slot per pool task; the request thread blocks until
+// every one of its block tasks is done. A task calls Done() only after
+// its step has dropped the pin, so a caller that sees its request
+// complete also sees every block unpinned. Done() notifies under the
+// lock, so the waiter (which owns this object) cannot return before
+// the last task is through with it.
 struct Completion {
   Mutex mu;
   CondVar cv;
@@ -161,31 +164,45 @@ std::vector<size_t> TouchedColumns(const ScanRequest& request) {
   return cols;
 }
 
-// First non-OK status across a request's block units, if any.
-Status FirstError(std::span<const Status> statuses) {
-  for (const Status& status : statuses) {
-    if (!status.ok()) {
-      return status;
+// "index:scheme" comma-joined for `columns` of one block — the trace's
+// per-block kernel annotation. Schemes are per block (auto-selection
+// can differ block to block), so this runs against the pinned block.
+std::string SchemesAnnotation(const Block& block,
+                              std::span<const size_t> columns) {
+  std::string out;
+  for (size_t col : columns) {
+    if (!out.empty()) {
+      out += ',';
     }
+    out += std::to_string(col);
+    out += ':';
+    out += enc::SchemeToString(block.column(col).scheme());
   }
-  return Status::OK();
+  return out;
 }
 
-// One block of a request on the calling thread: deadline check, pin,
-// `run` against the pinned block (returning the rows it covered), and
-// the block's span (null when tracing is off; `columns` feeds its
-// scheme annotation). A failed pin lands on `status`; returns false
-// only when the deadline has expired, so the caller issues no more
-// blocks.
+// The per-block step of every request: deadline check, pin, `run`
+// against the pinned block (returning the rows it covered), and the
+// block's span (null when tracing is off; `columns` feeds its scheme
+// annotation). `enqueue_ns` is when the block was handed to the pool,
+// 0 on the calling thread. A failed pin lands on `status`. The pin is
+// dropped before this returns. Returns false only when the deadline
+// has expired, so the caller issues no more blocks.
 template <typename Run>
-bool RunBlockInline(const TableReader& reader, size_t block,
-                    uint64_t deadline_ns, std::span<const size_t> columns,
-                    Status* status, obs::BlockSpan* span, const Run& run) {
+bool RunBlock(const TableReader& reader, size_t block, uint64_t enqueue_ns,
+              uint64_t deadline_ns, std::span<const size_t> columns,
+              Status* status, obs::BlockSpan* span, const Run& run) {
   if (deadline_ns != 0 && obs::MonotonicNs() > deadline_ns) {
     *status = Status::DeadlineExceeded("deadline expired before block scan");
     return false;
   }
-  const uint64_t t_task = span != nullptr ? obs::MonotonicNs() : 0;
+  uint64_t t_task = 0;
+  if (span != nullptr) {
+    t_task = obs::MonotonicNs();
+    span->block = static_cast<uint32_t>(block);
+    span->queue_ns =
+        enqueue_ns != 0 && t_task > enqueue_ns ? t_task - enqueue_ns : 0;
+  }
   BlockFetchStats fetch;
   auto handle = reader.GetBlock(block, span != nullptr ? &fetch : nullptr);
   if (!handle.ok()) {
@@ -196,11 +213,9 @@ bool RunBlockInline(const TableReader& reader, size_t block,
   const uint64_t rows = run(*handle.value());
   if (span != nullptr) {
     const uint64_t t_done = obs::MonotonicNs();
-    span->block = static_cast<uint32_t>(block);
     span->rows = rows;
     span->cache_hit = !fetch.miss;
     span->retried = fetch.retries > 0;
-    span->queue_ns = 0;
     span->fill_ns = fetch.fill_ns;
     const uint64_t pin_total = t_pinned - t_task;
     span->pin_ns = pin_total > fetch.fill_ns ? pin_total - fetch.fill_ns : 0;
@@ -208,22 +223,6 @@ bool RunBlockInline(const TableReader& reader, size_t block,
     span->schemes = SchemesAnnotation(*handle.value(), columns);
   }
   return true;
-}
-
-// Sums the per-block spans into the request's phase totals and files
-// them on the trace.
-void AttachSpans(std::vector<obs::BlockSpan> spans, obs::RequestTrace* trace) {
-  auto phase = [trace](obs::Phase p) -> uint64_t& {
-    return trace->phase_ns[static_cast<size_t>(p)];
-  };
-  for (const obs::BlockSpan& span : spans) {
-    phase(obs::Phase::kQueueWait) += span.queue_ns;
-    phase(obs::Phase::kCachePin) += span.pin_ns;
-    phase(obs::Phase::kMissFill) += span.fill_ns;
-    phase(obs::Phase::kDecodeFilter) += span.decode_ns;
-    phase(obs::Phase::kScatter) += span.scatter_ns;
-  }
-  trace->blocks = std::move(spans);
 }
 
 }  // namespace
@@ -245,10 +244,6 @@ ScanService::ScanService(Options options)
   metrics_.rejected = &reg.counter("serve.rejected");
   metrics_.deadline_missed = &reg.counter("serve.deadline_missed");
   metrics_.partial_results = &reg.counter("serve.partial_results");
-  metrics_.coalesced_requests = &reg.counter("serve.coalesced_requests");
-  metrics_.coalesced_batches = &reg.counter("serve.coalesced_batches");
-  metrics_.prefetch_issued = &reg.counter("serve.prefetch_issued");
-  metrics_.prefetch_skipped = &reg.counter("serve.prefetch_skipped");
   metrics_.queue_depth = &reg.gauge("serve.queue_depth");
   metrics_.inflight = &reg.gauge("serve.inflight_requests");
   metrics_.latency_us =
@@ -260,33 +255,32 @@ ScanService::ScanService(Options options)
     metrics_.phase_us[p] =
         &reg.histogram(name, obs::LatencyBucketBoundsUs());
   }
-  coalescer_ = std::make_unique<Coalescer>(
-      options.coalescing,
-      Coalescer::Counters{metrics_.coalesced_batches,
-                          metrics_.coalesced_requests});
   workers_.reserve(options.num_threads);
   for (size_t t = 0; t < options.num_threads; ++t) {
     workers_.emplace_back([this] { WorkerLoop(); });
-  }
-  if (!workers_.empty() && options.read_ahead) {
-    read_ahead_ = std::make_unique<ReadAhead>(ReadAhead::Counters{
-        metrics_.prefetch_issued, metrics_.prefetch_skipped});
   }
 }
 
 void ScanService::FinishRequest(obs::RequestTrace trace, uint64_t start_ns,
                                 obs::RequestTrace* sink) {
   trace.total_ns = obs::MonotonicNs() - start_ns;
+  auto phase = [&trace](obs::Phase p) -> uint64_t& {
+    return trace.phase_ns[static_cast<size_t>(p)];
+  };
+  uint64_t pruned = 0;
+  for (const obs::BlockSpan& span : trace.blocks) {
+    pruned += span.pruned ? 1 : 0;
+    phase(obs::Phase::kQueueWait) += span.queue_ns;
+    phase(obs::Phase::kCachePin) += span.pin_ns;
+    phase(obs::Phase::kMissFill) += span.fill_ns;
+    phase(obs::Phase::kDecodeFilter) += span.decode_ns;
+  }
   metrics_.latency_us->Record(trace.total_ns / 1000);
   for (size_t p = 0; p < obs::kNumPhases; ++p) {
     metrics_.phase_us[p]->Record(trace.phase_ns[p] / 1000);
   }
   metrics_.rows_scanned->Add(trace.rows_scanned);
   metrics_.rows_matched->Add(trace.rows_matched);
-  uint64_t pruned = 0;
-  for (const obs::BlockSpan& span : trace.blocks) {
-    pruned += span.pruned ? 1 : 0;
-  }
   metrics_.blocks_pruned->Add(pruned);
   if (trace.total_ns >= slow_trace_ns_) {
     if (sink != nullptr) {
@@ -319,6 +313,27 @@ Status ScanService::Admit(uint64_t deadline_ns) {
 void ScanService::ReleaseSlot() {
   inflight_.fetch_sub(1, std::memory_order_relaxed);
   metrics_.inflight->Sub(1);
+}
+
+template <typename StatusOf>
+Status ScanService::ResolveBlockErrors(
+    size_t num_blocks, const StatusOf& status_of, bool allow_partial,
+    std::vector<ScanResult::BlockError>* failed) {
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const Status& status = status_of(b);
+    if (status.ok()) {
+      continue;
+    }
+    if (status.IsDeadlineExceeded()) {
+      metrics_.deadline_missed->Increment();
+      return status;
+    }
+    if (!allow_partial) {
+      return status;
+    }
+    failed->push_back({static_cast<uint64_t>(b), status});
+  }
+  return Status::OK();
 }
 
 ScanService::~ScanService() {
@@ -360,14 +375,35 @@ void ScanService::EnqueueTask(std::function<void()> task) {
   cv_.NotifyOne();
 }
 
+template <typename Step>
+void ScanService::RunBlocks(size_t num_tasks, bool tracing,
+                            const Step& step) {
+  if (workers_.empty() || num_tasks <= 1) {
+    for (size_t i = 0; i < num_tasks; ++i) {
+      if (!step(i, 0)) {
+        break;  // Deadline expired: issue no more blocks.
+      }
+    }
+    return;
+  }
+  // Each task borrows the request's storage (through `step`) and
+  // `completion`; both outlive the tasks because this call waits.
+  Completion completion(num_tasks);
+  const uint64_t enqueue_ns = tracing ? obs::MonotonicNs() : 0;
+  for (size_t i = 0; i < num_tasks; ++i) {
+    EnqueueTask([&step, &completion, i, enqueue_ns] {
+      step(i, enqueue_ns);
+      completion.Done();
+    });
+  }
+  completion.Wait();
+}
+
 Result<ScanResult> ScanService::Execute(const TableReader& reader,
                                         const ScanRequest& request) {
   CORRA_RETURN_NOT_OK(ValidateColumns(reader, request));
   CORRA_RETURN_NOT_OK(Admit(request.deadline_ns));
-  struct Slot {
-    ScanService* service;
-    ~Slot() { service->ReleaseSlot(); }
-  } slot{this};
+  const Slot slot{this};
 
   const size_t num_blocks = reader.num_blocks();
   std::vector<BlockPartial> partials(num_blocks);
@@ -376,8 +412,6 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
   // the request takes zero clock reads and allocates no spans.
   const bool tracing = obs::Enabled();
   const uint64_t t_start = tracing ? obs::MonotonicNs() : 0;
-  obs::RequestTrace trace;
-  trace.op = "execute";
   std::vector<obs::BlockSpan> spans;
   std::vector<size_t> touched;
   if (tracing) {
@@ -413,89 +447,27 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
   }
   const uint64_t t_built = tracing ? obs::MonotonicNs() : 0;
 
-  if (workers_.empty() || runnable.size() <= 1) {
-    // At most one block to scan (or no pool): run on the calling
-    // thread. No queue, no coalescing, no read-ahead; the deadline is
-    // still honored between blocks.
-    for (size_t b : runnable) {
-      BlockPartial* partial = &partials[b];
-      const auto run = [&](const Block& block) {
-        ScanOneBlock(block, reader.block_row_offsets()[b], request, partial);
-        return partial->rows_scanned;
-      };
-      if (!RunBlockInline(reader, b, request.deadline_ns, touched,
-                          &partial->status, tracing ? &spans[b] : nullptr,
-                          run)) {
-        break;
-      }
-    }
-  } else {
-    // Pooled multi-block: every runnable block becomes one coalescer
-    // unit. Blocks this request leads get one executor task each;
-    // blocks another in-flight request already opened a batch for are
-    // served off that request's pin for free.
-    std::unique_ptr<ReadAhead::Session> session;
-    if (read_ahead_ != nullptr) {
-      session = read_ahead_->Start(reader, runnable);
-    }
-    auto completion = std::make_shared<Completion>(runnable.size());
-    for (size_t b : runnable) {
-      obs::BlockSpan* span = tracing ? &spans[b] : nullptr;
-      if (span != nullptr) {
-        // Identify the span even when the unit finishes without work
-        // (expired deadline or a failed pin never reaches the
-        // coalescer's charge path, which is what sets it otherwise).
-        span->block = static_cast<uint32_t>(b);
-      }
-      ScanUnit unit;
-      unit.enqueue_ns = t_start;
-      unit.deadline_ns = request.deadline_ns;
-      unit.status = &partials[b].status;
-      unit.span = span;
-      unit.done = [completion] { completion->Done(); };
-      unit.run = [&reader, &request, &touched, b, partial = &partials[b],
-                  span](const Block& block) {
-        ScanOneBlock(block, reader.block_row_offsets()[b], request, partial);
-        if (span != nullptr) {
-          span->rows = partial->rows_scanned;
-          span->schemes = SchemesAnnotation(block, touched);
-        }
-      };
-      if (coalescer_->SubmitScan(reader, b, std::move(unit))) {
-        EnqueueTask([this, reader_ptr = &reader, b] {
-          coalescer_->RunBatch(reader_ptr, b);
-        });
-      }
-    }
-    completion->Wait();
-  }
+  RunBlocks(runnable.size(), tracing, [&](size_t i, uint64_t enqueue_ns) {
+    const size_t b = runnable[i];
+    BlockPartial* partial = &partials[b];
+    const auto run = [&](const Block& block) {
+      ScanOneBlock(block, reader.block_row_offsets()[b], request, partial);
+      return partial->rows_scanned;
+    };
+    return RunBlock(reader, b, enqueue_ns, request.deadline_ns, touched,
+                    &partial->status, tracing ? &spans[b] : nullptr, run);
+  });
   const uint64_t t_merge = tracing ? obs::MonotonicNs() : 0;
 
   // With allow_partial, per-block failures degrade the result instead
   // of failing it: the block's original status lands on failed_blocks
-  // and the merge skips it. DeadlineExceeded is never downgraded.
-  Status first_error;
-  std::vector<ScanResult::BlockError> failed_blocks;
-  for (size_t b = 0; b < partials.size(); ++b) {
-    const Status& status = partials[b].status;
-    if (status.ok()) {
-      continue;
-    }
-    if (status.IsDeadlineExceeded() || !request.allow_partial) {
-      first_error = status;
-      break;
-    }
-    failed_blocks.push_back({static_cast<uint64_t>(b), status});
-  }
-  if (!first_error.ok()) {
-    if (first_error.IsDeadlineExceeded()) {
-      metrics_.deadline_missed->Increment();
-    }
-    return first_error;
-  }
+  // and the merge skips it.
+  ScanResult result;
+  CORRA_RETURN_NOT_OK(ResolveBlockErrors(
+      num_blocks, [&](size_t b) -> const Status& { return partials[b].status; },
+      request.allow_partial, &result.failed_blocks));
 
   // Merge in block order.
-  ScanResult result;
   result.blocks_skipped = blocks_skipped;
   result.columns.resize(request.project_columns.size());
   uint64_t agg_sum = 0;
@@ -527,19 +499,20 @@ Result<ScanResult> ScanService::Execute(const TableReader& reader,
     }
   }
   result.agg_sum = static_cast<int64_t>(agg_sum);
-  result.failed_blocks = std::move(failed_blocks);
   if (!result.failed_blocks.empty()) {
     metrics_.partial_results->Increment();
   }
 
   if (tracing) {
+    obs::RequestTrace trace;
+    trace.op = "execute";
     trace.rows_scanned = result.rows_scanned;
     trace.rows_matched = result.rows_matched;
     trace.phase_ns[static_cast<size_t>(obs::Phase::kBlockPrune)] =
         t_built - t_start;
     trace.phase_ns[static_cast<size_t>(obs::Phase::kMerge)] =
         obs::MonotonicNs() - t_merge;
-    AttachSpans(std::move(spans), &trace);
+    trace.blocks = std::move(spans);
     metrics_.requests->Increment();
     FinishRequest(std::move(trace), t_start,
                   request.collect_trace ? &result.trace.emplace() : nullptr);
@@ -557,10 +530,7 @@ Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
     }
   }
   CORRA_RETURN_NOT_OK(Admit(options.deadline_ns));
-  struct Slot {
-    ScanService* service;
-    ~Slot() { service->ReleaseSlot(); }
-  } slot{this};
+  const Slot slot{this};
 
   const bool tracing = obs::Enabled();
   const uint64_t t_start = tracing ? obs::MonotonicNs() : 0;
@@ -579,72 +549,31 @@ Result<std::vector<std::vector<int64_t>>> ScanService::Gather(
     spans.resize(slices.size());
   }
 
-  if (workers_.empty() || slices.size() <= 1) {
-    // At most one block slice (or no pool): on the calling thread, as
-    // in Execute.
-    for (size_t s = 0; s < slices.size(); ++s) {
-      const query::SelectionSlice& slice = slices[s];
-      const auto run = [&](const Block& block) {
-        for (size_t c = 0; c < columns.size(); ++c) {
-          query::ScanColumn(block, columns[c], slice.local_rows,
-                            out[c].data() + slice.out_offset);
-        }
-        return static_cast<uint64_t>(slice.local_rows.size());
-      };
-      if (!RunBlockInline(reader, slice.block, options.deadline_ns, columns,
-                          &statuses[s], tracing ? &spans[s] : nullptr, run)) {
-        break;
+  RunBlocks(slices.size(), tracing, [&](size_t s, uint64_t enqueue_ns) {
+    const query::SelectionSlice& slice = slices[s];
+    const auto run = [&](const Block& block) {
+      for (size_t c = 0; c < columns.size(); ++c) {
+        query::ScanColumn(block, columns[c], slice.local_rows,
+                          out[c].data() + slice.out_offset);
       }
-    }
-  } else {
-    std::unique_ptr<ReadAhead::Session> session;
-    if (read_ahead_ != nullptr) {
-      std::vector<size_t> blocks;
-      blocks.reserve(slices.size());
-      for (const query::SelectionSlice& slice : slices) {
-        blocks.push_back(slice.block);
-      }
-      session = read_ahead_->Start(reader, std::move(blocks));
-    }
-    auto completion = std::make_shared<Completion>(slices.size());
-    const std::vector<size_t> cols(columns.begin(), columns.end());
-    for (size_t s = 0; s < slices.size(); ++s) {
-      const query::SelectionSlice& slice = slices[s];
-      GatherUnit unit;
-      unit.columns = cols;
-      unit.rows = slice.local_rows;
-      unit.outs.reserve(cols.size());
-      for (size_t c = 0; c < cols.size(); ++c) {
-        unit.outs.push_back(out[c].data() + slice.out_offset);
-      }
-      unit.enqueue_ns = t_start;
-      unit.deadline_ns = options.deadline_ns;
-      unit.status = &statuses[s];
-      unit.span = tracing ? &spans[s] : nullptr;
-      unit.done = [completion] { completion->Done(); };
-      if (coalescer_->SubmitGather(reader, slice.block, std::move(unit))) {
-        EnqueueTask([this, reader_ptr = &reader, block = slice.block] {
-          coalescer_->RunBatch(reader_ptr, block);
-        });
-      }
-    }
-    completion->Wait();
-  }
+      return static_cast<uint64_t>(slice.local_rows.size());
+    };
+    return RunBlock(reader, slice.block, enqueue_ns, options.deadline_ns,
+                    columns, &statuses[s], tracing ? &spans[s] : nullptr,
+                    run);
+  });
 
-  const Status first_error = FirstError(statuses);
-  if (!first_error.ok()) {
-    if (first_error.IsDeadlineExceeded()) {
-      metrics_.deadline_missed->Increment();
-    }
-    return first_error;
-  }
+  // A gather stays strict: a partial point lookup is a miss.
+  CORRA_RETURN_NOT_OK(ResolveBlockErrors(
+      statuses.size(), [&](size_t s) -> const Status& { return statuses[s]; },
+      /*allow_partial=*/false, nullptr));
 
   if (tracing) {
     obs::RequestTrace trace;
     trace.op = "gather";
     trace.rows_scanned = rows.size();
     trace.rows_matched = rows.size();
-    AttachSpans(std::move(spans), &trace);
+    trace.blocks = std::move(spans);
     metrics_.gather_requests->Increment();
     metrics_.gather_rows->Add(rows.size());
     FinishRequest(std::move(trace), t_start, options.trace);

@@ -1,13 +1,18 @@
 // ScanService — concurrent out-of-core query execution over CORF files.
 //
-// A small shared worker pool executes scan requests block-by-block:
-// every block task pins its block through the reader's BlockCache, runs
-// the morsel-based query kernels (query::FilterToSelection, ranged
-// scans, aggregate pushdown) against the compressed representation, and
-// releases the pin. Per-block partial results are merged in block
-// order, so the output is byte-identical to materializing the whole
-// table and scanning it in memory — without ever holding more than
-// cache-capacity blocks resident.
+// Execute and Gather run one request pipeline:
+//
+//   admit -> prune (Execute) or split rows by block (Gather)
+//         -> per-block step (deadline check, pin, run, span fill)
+//         -> merge in block order -> finish (metrics, trace)
+//
+// The per-block step pins its block through the reader's BlockCache,
+// runs the morsel-based query kernels (query::FilterToSelection, ranged
+// scans, aggregate pushdown, positioned gathers) against the compressed
+// representation, and drops the pin. Partial results are merged in
+// block order, so the output is byte-identical to materializing the
+// whole table and scanning it in memory — without ever holding more
+// than cache-capacity blocks resident.
 //
 // Filtered requests prune first: a block whose persisted min/max range
 // (CORF v3 stats, checked against the directory without any payload
@@ -15,36 +20,25 @@
 // neither fetched nor decoded, and only counts toward rows_scanned /
 // blocks_skipped.
 //
+// Routing: a request with at most one block to touch, or any request on
+// a service without workers, runs its blocks on the calling thread, with
+// no queue handoff and no heap allocation for the routing itself.
+// Otherwise each block becomes one task on the shared worker pool and
+// the caller waits for all of them. Each step checks the deadline, so a
+// request that expires mid-flight stops scanning further blocks.
+//
 // One ScanService instance is meant to be shared by many concurrent
 // clients (Execute and Gather are thread-safe); all of them draw from
 // the same worker pool and, through their readers, the same cache.
-// Requests must come from outside the pool: a block task must not
-// call back into Execute/Gather, or the pool can deadlock on itself.
+// Requests must come from outside the pool: a block task must not call
+// back into Execute/Gather, or the pool can deadlock on itself.
 //
-// Routing: a request with at most one block to touch (after stats
-// pruning, or after splitting a gather's rows by block) runs on the
-// calling thread, even on a pooled service — no queue handoff, no
-// coalescing, no read-ahead. Only requests with two or more blocks fan
-// out to the pool.
-//
-// The front door. Admission control applies to every request; the
-// rest only to multi-block requests on a pooled service:
-//  * Admission control — Options::max_inflight_requests bounds the
-//    requests in flight; arrivals past the bound are rejected with
-//    ResourceExhausted ("serve.rejected") instead of queueing without
-//    bound, and a request whose ScanRequest::deadline_ns has already
-//    passed is rejected with DeadlineExceeded ("serve.deadline_missed")
-//    before touching any block. Degrade, don't collapse.
-//  * Coalescing — concurrent requests whose row sets land in the same
-//    block batch into one shared pin and one merged, deduplicated
-//    gather per block (src/serve/coalescer.h); results stay
-//    byte-identical to independent execution. Disable per service with
-//    Options::coalescing = false (the A/B lever the closed-loop bench
-//    uses).
-//  * Read-ahead — a prefetch thread (src/serve/read_ahead.h) issues the
-//    request's block fetches in scan order ahead of the workers, so for
-//    sequential scans miss_fill moves off the critical path and workers
-//    mostly pin resident blocks.
+// Admission control applies to every request:
+// Options::max_inflight_requests bounds the requests in flight; arrivals
+// past the bound are rejected with ResourceExhausted ("serve.rejected")
+// instead of queueing without bound, and a request whose deadline has
+// already passed is rejected with DeadlineExceeded
+// ("serve.deadline_missed") before touching any block.
 //
 // Telemetry (src/obs/): every request feeds the registry's serving
 // histograms (total latency plus per-phase queue wait / cache pin /
@@ -64,7 +58,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <thread>
@@ -75,8 +68,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/aggregate.h"
-#include "serve/coalescer.h"
-#include "serve/read_ahead.h"
 #include "serve/table_reader.h"
 
 namespace corra::serve {
@@ -179,9 +170,9 @@ struct ScanResult {
 class ScanService {
  public:
   struct Options {
-    /// Worker threads shared by all multi-block requests; 0 runs every
-    /// request on the calling thread. Single-block requests run on the
-    /// calling thread either way.
+    /// Worker threads shared by all multi-block requests, one pool task
+    /// per block; 0 runs every request on the calling thread.
+    /// Single-block requests run on the calling thread either way.
     size_t num_threads = 4;
 
     /// Registry receiving the serving histograms and counters
@@ -195,20 +186,9 @@ class ScanService {
     /// Slow-trace ring capacity (last N retained).
     size_t slow_trace_capacity = 32;
 
-    /// Batch concurrent requests touching the same block into one pin +
-    /// one merged gather (multi-block requests on a pooled service only;
-    /// a request run on the calling thread never coalesces). Results
-    /// are byte-identical either way.
-    bool coalescing = true;
-
     /// Reject (ResourceExhausted) requests arriving while this many are
     /// already in flight; 0 means unbounded.
     size_t max_inflight_requests = 0;
-
-    /// Prefetch a request's blocks in scan order on a background thread
-    /// (multi-block requests on a pooled service only), so workers
-    /// mostly pin resident blocks.
-    bool read_ahead = true;
   };
 
   ScanService();  // Default Options.
@@ -264,26 +244,46 @@ class ScanService {
     obs::Counter* deadline_missed;   // DeadlineExceeded returns.
     obs::Counter* partial_results;   // allow_partial scans that lost
                                      // at least one block.
-    obs::Counter* coalesced_requests;  // Units served by piggybacking.
-    obs::Counter* coalesced_batches;   // Batches with 2+ live units.
-    obs::Counter* prefetch_issued;
-    obs::Counter* prefetch_skipped;
     obs::Gauge* queue_depth;         // Tasks waiting for a worker.
     obs::Gauge* inflight;            // Admitted, not yet returned.
     obs::Histogram* latency_us;
     std::array<obs::Histogram*, obs::kNumPhases> phase_us;
   };
 
-  // Records histograms/counters for a finished request and files the
-  // trace (slow ring, and the caller's sink when opted in).
+  // Sums the trace's block spans into its phase totals, records the
+  // histograms/counters for a finished request and files the trace
+  // (slow ring, and the caller's sink when opted in).
   void FinishRequest(obs::RequestTrace trace, uint64_t start_ns,
                      obs::RequestTrace* sink);
 
   // Admission: deadline-expired or over-limit requests are rejected
   // before any block work. Admit() takes an in-flight slot on success;
-  // ReleaseSlot() returns it.
+  // a Slot returns it when the request ends.
   Status Admit(uint64_t deadline_ns);
   void ReleaseSlot();
+  struct Slot {
+    ScanService* service;
+    ~Slot() { service->ReleaseSlot(); }
+  };
+
+  // Runs a request's block tasks. `step(i, enqueue_ns)` is the per-block
+  // step for task i of `num_tasks`; it returns false once the deadline
+  // has expired. With at most one task, or no pool, the steps run on the
+  // calling thread (enqueue_ns = 0) and stop at the first expired one.
+  // Otherwise each task is one pool task, stamped with its enqueue time
+  // when `tracing`, and the call returns once all of them are done.
+  template <typename Step>
+  void RunBlocks(size_t num_tasks, bool tracing, const Step& step);
+
+  // The request's outcome from its per-block statuses, `status_of(b)`
+  // for b in [0, num_blocks): an expired deadline (counted in
+  // "serve.deadline_missed"), or any failure without allow_partial,
+  // fails the request; under allow_partial each failed block lands on
+  // `failed` instead.
+  template <typename StatusOf>
+  Status ResolveBlockErrors(size_t num_blocks, const StatusOf& status_of,
+                            bool allow_partial,
+                            std::vector<ScanResult::BlockError>* failed);
 
   void EnqueueTask(std::function<void()> task);
   void WorkerLoop();
@@ -298,8 +298,6 @@ class ScanService {
   obs::TraceRing slow_traces_;
   size_t max_inflight_ = 0;
   std::atomic<size_t> inflight_{0};
-  std::unique_ptr<Coalescer> coalescer_;
-  std::unique_ptr<ReadAhead> read_ahead_;  // Pooled + read_ahead only.
 };
 
 }  // namespace corra::serve

@@ -1,10 +1,9 @@
 // Serving front door: single-block requests run on the caller's thread
-// (identical results and failures to an inline service, never queued or
-// coalesced), cross-request block coalescing of multi-block requests
-// stays byte-identical to independent execution across every encoding
-// scheme, admission control fast-rejects over-limit and expired
-// requests, and phase attribution never double-charges a piggybacked
-// request.
+// (identical results to an inline service, never queued), concurrent
+// multi-block requests fanned out to the pool stay byte-identical to
+// independent execution across every encoding scheme, pooled and
+// inline services fail the same way, and admission control
+// fast-rejects over-limit and expired requests.
 
 #include <gtest/gtest.h>
 
@@ -26,8 +25,8 @@ namespace corra::serve {
 namespace {
 
 // A 12-column table where every column is pinned (auto_vertical off) to
-// a distinct scheme, covering all 12: the coalescer's merged gather and
-// scatter must reproduce each scheme's independent decode exactly.
+// a distinct scheme, covering all 12: pooled block tasks must reproduce
+// each scheme's decode exactly.
 class FrontDoorTest : public ::testing::Test {
  protected:
   static constexpr size_t kRows = 8000;
@@ -36,8 +35,8 @@ class FrontDoorTest : public ::testing::Test {
 
   void SetUp() override {
 #ifdef CORRA_OBS_OFF
-    // The counter/span assertions below (coalesced_requests, rejected,
-    // BlockSpan::coalesced) need live telemetry.
+    // The counter/span assertions below (rejected, deadline_missed,
+    // BlockSpan::queue_ns) need live telemetry.
     GTEST_SKIP() << "observability compiled out (CORRA_OBS_OFF)";
 #else
     obs::SetEnabled(true);
@@ -163,10 +162,11 @@ class FrontDoorTest : public ::testing::Test {
   std::vector<std::vector<int64_t>> raw_;
 };
 
-// Many concurrent gathers with overlapping row sets and mixed column
-// subsets: every result must be byte-identical to the raw vectors, and
-// coalescing must actually fire (batches with 2+ requests observed).
-TEST_F(FrontDoorTest, ConcurrentGathersAreByteIdenticalUnderCoalescing) {
+// Many concurrent multi-block gathers with overlapping row sets and
+// mixed column subsets, fanned out to the pool: every result must be
+// byte-identical to the raw vectors, and between them the callers
+// gather every column, so all 12 schemes serve pooled block tasks.
+TEST_F(FrontDoorTest, ConcurrentMultiBlockGathersAreByteIdentical) {
   obs::Registry registry;
   auto cache = std::make_shared<BlockCache>(
       BlockCacheOptions{.registry = &registry});
@@ -174,88 +174,27 @@ TEST_F(FrontDoorTest, ConcurrentGathersAreByteIdenticalUnderCoalescing) {
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   ScanService service({.num_threads = 4, .registry = &registry});
 
-  const obs::Counter& coalesced =
-      registry.counter("serve.coalesced_requests");
   constexpr size_t kThreads = 8;
-  constexpr size_t kMaxRounds = 50;
   std::atomic<size_t> failures{0};
-
-  for (size_t round = 0; round < kMaxRounds; ++round) {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t, round] {
-        Rng rng(1000 + round * kThreads + t);
-        for (size_t iter = 0; iter < 10; ++iter) {
-          const std::vector<uint64_t> rows = RandomPositions(rng, 600);
-          if (BlocksTouched(rows) < 2) {
-            failures.fetch_add(1);  // Would bypass the coalescer.
-            return;
-          }
-          // A different column subset per caller, always non-empty, so
-          // merged batches carry heterogeneous column unions.
-          std::vector<size_t> cols;
-          for (size_t c = 0; c < kColumns; ++c) {
-            if (rng.Bernoulli(0.4)) {
-              cols.push_back(c);
-            }
-          }
-          if (cols.empty()) {
-            cols.push_back((t + iter) % kColumns);
-          }
-          auto result = service.Gather(*reader.value(), cols, rows);
-          if (!result.ok()) {
-            failures.fetch_add(1);
-            return;
-          }
-          for (size_t c = 0; c < cols.size(); ++c) {
-            for (size_t i = 0; i < rows.size(); ++i) {
-              if (result.value()[c][i] != raw_[cols[c]][rows[i]]) {
-                failures.fetch_add(1);
-                return;
-              }
-            }
-          }
-        }
-      });
-    }
-    for (auto& thread : threads) {
-      thread.join();
-    }
-    ASSERT_EQ(failures.load(), 0u) << "mismatch or error in round " << round;
-    if (coalesced.Value() > 0) {
-      break;
-    }
-  }
-  EXPECT_GT(coalesced.Value(), 0u)
-      << "coalescing never fired across " << kMaxRounds << " rounds";
-  EXPECT_GT(registry.counter("serve.coalesced_batches").Value(), 0u);
-}
-
-// The same workload with coalescing disabled must also be correct (the
-// A/B lever the closed-loop bench flips), and must never batch.
-TEST_F(FrontDoorTest, CoalescingDisabledStaysCorrectAndNeverBatches) {
-  obs::Registry registry;
-  auto cache = std::make_shared<BlockCache>(
-      BlockCacheOptions{.registry = &registry});
-  auto reader = TableReader::Open(path_, cache);
-  ASSERT_TRUE(reader.ok());
-  ScanService service(
-      {.num_threads = 4, .registry = &registry, .coalescing = false});
-
   std::vector<std::thread> threads;
-  std::atomic<size_t> failures{0};
-  for (size_t t = 0; t < 8; ++t) {
+  threads.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      Rng rng(500 + t);
-      for (size_t iter = 0; iter < 10; ++iter) {
-        const std::vector<uint64_t> rows = RandomPositions(rng, 400);
+      Rng rng(1000 + t);
+      for (size_t iter = 0; iter < 20; ++iter) {
+        const std::vector<uint64_t> rows = RandomPositions(rng, 600);
         if (BlocksTouched(rows) < 2) {
-          failures.fetch_add(1);  // Would bypass the pool entirely.
+          failures.fetch_add(1);  // Would bypass the pool.
           return;
         }
-        const std::vector<size_t> cols = {t % kColumns,
-                                          (t + 5) % kColumns};
+        // A different column subset per call; (t + iter) % kColumns
+        // walks every column across the callers.
+        std::vector<size_t> cols = {(t + iter) % kColumns};
+        for (size_t c = 0; c < kColumns; ++c) {
+          if (c != cols[0] && rng.Bernoulli(0.4)) {
+            cols.push_back(c);
+          }
+        }
         auto result = service.Gather(*reader.value(), cols, rows);
         if (!result.ok()) {
           failures.fetch_add(1);
@@ -276,13 +215,13 @@ TEST_F(FrontDoorTest, CoalescingDisabledStaysCorrectAndNeverBatches) {
     thread.join();
   }
   EXPECT_EQ(failures.load(), 0u);
-  EXPECT_EQ(registry.counter("serve.coalesced_requests").Value(), 0u);
-  EXPECT_EQ(registry.counter("serve.coalesced_batches").Value(), 0u);
+  EXPECT_EQ(registry.gauge("serve.inflight_requests").Value(), 0);
+  EXPECT_EQ(cache->GetStats().pinned_blocks, 0u);
 }
 
-// Concurrent Execute requests (filter + projections) under coalescing:
-// scan units share pins but never merge decodes; results must match the
-// single-threaded inline service exactly.
+// Concurrent multi-block Execute requests (filter + projections) on a
+// pooled service: results must match the single-threaded inline service
+// exactly.
 TEST_F(FrontDoorTest, ConcurrentExecutesMatchInlineService) {
   auto cache = std::make_shared<BlockCache>();
   auto reader = TableReader::Open(path_, cache);
@@ -443,74 +382,9 @@ TEST_F(FrontDoorTest, FutureDeadlineIsHarmless) {
   }
 }
 
-// Phase attribution under coalescing: a piggybacked gather's span is
-// marked coalesced and carries only queue wait + scatter — the shared
-// pin/fill/decode stay charged to the executing request, so summing
-// phases across concurrent requests never double-counts the block work.
-TEST_F(FrontDoorTest, PiggybackedGathersAreNotChargedForSharedWork) {
-  obs::Registry registry;
-  auto cache = std::make_shared<BlockCache>(
-      BlockCacheOptions{.registry = &registry});
-  auto reader = TableReader::Open(path_, cache);
-  ASSERT_TRUE(reader.ok());
-  // One worker: while it executes a batch, concurrent submissions pile
-  // into the next batch, so multi-unit batches form fast.
-  ScanService service({.num_threads = 1, .registry = &registry});
-
-  std::mutex mu;
-  std::vector<obs::RequestTrace> coalesced_traces;
-  constexpr size_t kMaxRounds = 200;
-  for (size_t round = 0; round < kMaxRounds; ++round) {
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < 4; ++t) {
-      threads.emplace_back([&, t, round] {
-        Rng rng(3000 + round * 4 + t);
-        const std::vector<uint64_t> rows = RandomPositions(rng, 300);
-        ASSERT_GE(BlocksTouched(rows), 2u);  // Else it never queues.
-        const std::vector<size_t> cols = {t % kColumns, 8};
-        obs::RequestTrace trace;
-        GatherOptions options;
-        options.trace = &trace;
-        auto result = service.Gather(*reader.value(), cols, rows, options);
-        ASSERT_TRUE(result.ok());
-        for (const obs::BlockSpan& span : trace.blocks) {
-          if (span.coalesced) {
-            std::lock_guard<std::mutex> lock(mu);
-            coalesced_traces.push_back(trace);
-            return;
-          }
-        }
-      });
-    }
-    for (auto& thread : threads) {
-      thread.join();
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    if (!coalesced_traces.empty()) {
-      break;
-    }
-  }
-  ASSERT_FALSE(coalesced_traces.empty())
-      << "no piggybacked span observed in " << kMaxRounds << " rounds";
-  for (const obs::RequestTrace& trace : coalesced_traces) {
-    for (const obs::BlockSpan& span : trace.blocks) {
-      if (!span.coalesced) {
-        continue;
-      }
-      // Shared work is the leader's: a follower pays no pin, no fill,
-      // and no decode — only its wait and its own scatter.
-      EXPECT_EQ(span.pin_ns, 0u);
-      EXPECT_EQ(span.fill_ns, 0u);
-      EXPECT_EQ(span.decode_ns, 0u);
-      EXPECT_TRUE(span.cache_hit);
-      EXPECT_GT(span.queue_ns, 0u);
-    }
-  }
-}
-
-// Read-ahead keeps results identical on a cold cache and reports its
-// prefetches; single-flight means no double loads (ledger intact).
-TEST_F(FrontDoorTest, ReadAheadColdScanStaysExactAndSingleFlight) {
+// A pooled full scan on a cold cache stays exact and loads each block
+// exactly once (ledger intact).
+TEST_F(FrontDoorTest, PooledColdScanLoadsEachBlockOnce) {
   obs::Registry registry;
   auto cache = std::make_shared<BlockCache>(
       BlockCacheOptions{.registry = &registry});
@@ -532,8 +406,7 @@ TEST_F(FrontDoorTest, ReadAheadColdScanStaysExactAndSingleFlight) {
     }
   }
 
-  // Every block was loaded exactly once, whether the prefetcher or a
-  // worker won the race (single-flight absorbs the loser as a wait).
+  // Every block was loaded exactly once.
   const BlockCacheStats stats = cache->GetStats();
   EXPECT_EQ(stats.misses, kRows / kBlockRows);
   EXPECT_EQ(stats.failed_loads, 0u);
@@ -541,7 +414,6 @@ TEST_F(FrontDoorTest, ReadAheadColdScanStaysExactAndSingleFlight) {
             stats.cached_blocks + stats.loading_blocks + stats.evictions +
                 stats.failed_loads + stats.erased_blocks);
 }
-
 
 bool SameScan(const ScanResult& a, const ScanResult& b) {
   return a.rows_scanned == b.rows_scanned &&
@@ -551,8 +423,8 @@ bool SameScan(const ScanResult& a, const ScanResult& b) {
          a.agg_min == b.agg_min && a.agg_max == b.agg_max;
 }
 
-// True when exactly one block did work and its span shows neither a
-// queue handoff nor coalescing (the caller's-thread path).
+// True when exactly one block did work and its span shows no queue
+// handoff (the caller's-thread path).
 bool RanOnCallersThread(const obs::RequestTrace& trace) {
   size_t worked = 0;
   for (const obs::BlockSpan& span : trace.blocks) {
@@ -560,7 +432,7 @@ bool RanOnCallersThread(const obs::RequestTrace& trace) {
       continue;
     }
     ++worked;
-    if (span.queue_ns != 0 || span.coalesced) {
+    if (span.queue_ns != 0) {
       return false;
     }
   }
@@ -569,9 +441,9 @@ bool RanOnCallersThread(const obs::RequestTrace& trace) {
 
 // Single-block gathers and single-block filtered scans from many
 // concurrent callers run on the caller's thread even on a pooled
-// service: results match an inline service exactly, no span waits in a
-// queue or coalesces, and the coalescer never engages. A multi-block
-// request on the same service still fans out to the pool.
+// service: results match an inline service exactly and no span waits in
+// a queue. A multi-block request on the same service still fans out to
+// the pool.
 TEST_F(FrontDoorTest, SingleBlockRequestsRunOnCallersThread) {
   obs::Registry registry;
   auto cache = std::make_shared<BlockCache>(
@@ -623,8 +495,6 @@ TEST_F(FrontDoorTest, SingleBlockRequestsRunOnCallersThread) {
     thread.join();
   }
   EXPECT_EQ(failures.load(), 0u);
-  EXPECT_EQ(registry.counter("serve.coalesced_requests").Value(), 0u);
-  EXPECT_EQ(registry.counter("serve.coalesced_batches").Value(), 0u);
 
   Rng rng(7100);
   const std::vector<uint64_t> rows = RandomPositions(rng, 600);
@@ -639,11 +509,12 @@ TEST_F(FrontDoorTest, SingleBlockRequestsRunOnCallersThread) {
       << "multi-block gather never went through the pool";
 }
 
-// The caller's-thread path fails exactly as the inline service does.
-// Each run gets its own cache, so a failed load's quarantine on one
-// service cannot shape what the other sees. These compare Status and
-// failed_blocks only, so unlike the fixture above they also run with
-// observability compiled out.
+// Pooled and inline services fail the same way, whether a request
+// touches one block (the caller's-thread path) or several (one pool task
+// per block on the pooled service). Each run gets its own cache, so a
+// failed load's quarantine on one service cannot shape what the other
+// sees. These compare Status and failed_blocks only, so unlike the
+// fixture above they also run with observability compiled out.
 class SingleBlockFailureTest : public FrontDoorTest {
  protected:
   void SetUp() override { WriteTable(); }
@@ -675,62 +546,14 @@ class SingleBlockFailureTest : public FrontDoorTest {
         .Gather(*reader.value(), cols, rows, {.deadline_ns = deadline_ns})
         .status();
   }
-};
 
-TEST_F(SingleBlockFailureTest, LoadErrorFailsTheSameWay) {
-  if (!fail::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out (CORRA_FAILPOINTS_OFF)";
-  }
-  fail::ScopedFailpoint fp("cache.load_error", "every:1");
-  ASSERT_TRUE(fp.status().ok());
-
-  const ScanRequest request = SingleBlockScan(3);
-  const auto pooled = Execute(4, request);
-  const auto inline_run = Execute(0, request);
-  ASSERT_FALSE(pooled.ok());
-  EXPECT_TRUE(pooled.status().IsIOError()) << pooled.status().ToString();
-  EXPECT_EQ(pooled.status().ToString(), inline_run.status().ToString());
-
-  Rng rng(11);
-  const std::vector<uint64_t> rows = BlockPositions(rng, 3, 64);
-  const Status pooled_gather = Gather(4, rows, 0);
-  EXPECT_TRUE(pooled_gather.IsIOError()) << pooled_gather.ToString();
-  EXPECT_EQ(pooled_gather.ToString(), Gather(0, rows, 0).ToString());
-}
-
-TEST_F(SingleBlockFailureTest, LoadErrorUnderAllowPartialDegradesTheSameWay) {
-  if (!fail::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out (CORRA_FAILPOINTS_OFF)";
-  }
-  fail::ScopedFailpoint fp("cache.load_error", "every:1");
-  ASSERT_TRUE(fp.status().ok());
-
-  ScanRequest request = SingleBlockScan(3);
-  request.allow_partial = true;
-  const auto pooled = Execute(4, request);
-  const auto inline_run = Execute(0, request);
-  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
-  ASSERT_TRUE(inline_run.ok()) << inline_run.status().ToString();
-  ASSERT_EQ(pooled.value().failed_blocks.size(), 1u);
-  ASSERT_EQ(inline_run.value().failed_blocks.size(), 1u);
-  const ScanResult::BlockError& got = pooled.value().failed_blocks[0];
-  const ScanResult::BlockError& want = inline_run.value().failed_blocks[0];
-  EXPECT_EQ(got.block, 3u);
-  EXPECT_EQ(got.block, want.block);
-  EXPECT_TRUE(got.status.IsIOError()) << got.status.ToString();
-  EXPECT_EQ(got.status.ToString(), want.status.ToString());
-  EXPECT_TRUE(SameScan(pooled.value(), inline_run.value()));
-  EXPECT_EQ(pooled.value().rows_matched, 0u);
-}
-
-// A deadline that passes after admission but before the block is
-// pinned. Splitting a million duplicate positions takes milliseconds
-// after admission, so a deadline a few microseconds out expires in
-// that gap; a run preempted long enough to miss admission itself is
-// retried with a longer margin.
-TEST_F(SingleBlockFailureTest, DeadlineAfterAdmissionFailsTheSameWay) {
-  const std::vector<uint64_t> rows(1'000'000, 3 * kBlockRows + 17);
-  auto expire_after_admission = [&](size_t num_threads) {
+  // A gather of `rows` whose deadline passes after admission but before
+  // any block is pinned. Splitting a million positions takes
+  // milliseconds after admission, so a deadline a few microseconds out
+  // expires in that gap; a run preempted long enough to miss admission
+  // itself is retried with a longer margin.
+  Status ExpireAfterAdmission(size_t num_threads,
+                              std::span<const uint64_t> rows) {
     Status status;
     for (uint64_t margin_ns = 50'000; margin_ns <= 1'600'000;
          margin_ns *= 2) {
@@ -740,9 +563,125 @@ TEST_F(SingleBlockFailureTest, DeadlineAfterAdmissionFailsTheSameWay) {
       }
     }
     return status;
-  };
-  const Status pooled = expire_after_admission(4);
-  const Status inline_run = expire_after_admission(0);
+  }
+
+  void ExpectSameLoadError(const ScanRequest& request,
+                           std::span<const uint64_t> rows) {
+    const auto pooled = Execute(4, request);
+    const auto inline_run = Execute(0, request);
+    ASSERT_FALSE(pooled.ok());
+    EXPECT_TRUE(pooled.status().IsIOError()) << pooled.status().ToString();
+    EXPECT_EQ(pooled.status().ToString(), inline_run.status().ToString());
+
+    const Status pooled_gather = Gather(4, rows, 0);
+    EXPECT_TRUE(pooled_gather.IsIOError()) << pooled_gather.ToString();
+    EXPECT_EQ(pooled_gather.ToString(), Gather(0, rows, 0).ToString());
+  }
+
+  // `request` with allow_partial under a load error on every block:
+  // both services report `failed` (ascending) as the failed blocks, with
+  // the same statuses.
+  void ExpectSamePartialResult(ScanRequest request,
+                               const std::vector<uint64_t>& failed) {
+    request.allow_partial = true;
+    const auto pooled = Execute(4, request);
+    const auto inline_run = Execute(0, request);
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+    ASSERT_TRUE(inline_run.ok()) << inline_run.status().ToString();
+    ASSERT_EQ(pooled.value().failed_blocks.size(), failed.size());
+    ASSERT_EQ(inline_run.value().failed_blocks.size(), failed.size());
+    for (size_t i = 0; i < failed.size(); ++i) {
+      const ScanResult::BlockError& got = pooled.value().failed_blocks[i];
+      const ScanResult::BlockError& want =
+          inline_run.value().failed_blocks[i];
+      EXPECT_EQ(got.block, failed[i]);
+      EXPECT_EQ(got.block, want.block);
+      EXPECT_TRUE(got.status.IsIOError()) << got.status.ToString();
+      EXPECT_EQ(got.status.ToString(), want.status.ToString());
+    }
+    EXPECT_TRUE(SameScan(pooled.value(), inline_run.value()));
+    EXPECT_EQ(pooled.value().rows_matched, 0u);
+  }
+};
+
+TEST_F(SingleBlockFailureTest, LoadErrorFailsTheSameWay) {
+  if (!fail::CompiledIn()) {
+    GTEST_SKIP() << "failpoints compiled out (CORRA_FAILPOINTS_OFF)";
+  }
+  fail::ScopedFailpoint fp("cache.load_error", "every:1");
+  ASSERT_TRUE(fp.status().ok());
+
+  Rng rng(11);
+  ExpectSameLoadError(SingleBlockScan(3), BlockPositions(rng, 3, 64));
+}
+
+TEST_F(SingleBlockFailureTest, LoadErrorUnderAllowPartialDegradesTheSameWay) {
+  if (!fail::CompiledIn()) {
+    GTEST_SKIP() << "failpoints compiled out (CORRA_FAILPOINTS_OFF)";
+  }
+  fail::ScopedFailpoint fp("cache.load_error", "every:1");
+  ASSERT_TRUE(fp.status().ok());
+
+  ExpectSamePartialResult(SingleBlockScan(3), {3});
+}
+
+TEST_F(SingleBlockFailureTest, DeadlineAfterAdmissionFailsTheSameWay) {
+  const std::vector<uint64_t> rows(1'000'000, 3 * kBlockRows + 17);
+  const Status pooled = ExpireAfterAdmission(4, rows);
+  const Status inline_run = ExpireAfterAdmission(0, rows);
+  EXPECT_TRUE(pooled.IsDeadlineExceeded()) << pooled.ToString();
+  EXPECT_EQ(pooled.message().find("admission"), std::string::npos)
+      << pooled.ToString();
+  EXPECT_EQ(pooled.ToString(), inline_run.ToString());
+}
+
+// The same failures on requests that touch several blocks, which the
+// pooled service runs as one pool task per block.
+class MultiBlockFailureTest : public SingleBlockFailureTest {
+ protected:
+  // A filtered scan whose predicate on the monotone `seq` column
+  // survives stats pruning in blocks 2-5 only.
+  ScanRequest MultiBlockScan() const {
+    ScanRequest request = SingleBlockScan(2);
+    request.filter_hi = raw_[7][5 * kBlockRows + 700];
+    return request;
+  }
+
+  // `copies` positions in each of blocks 1, 4 and 6, sorted.
+  static std::vector<uint64_t> MultiBlockRows(size_t copies) {
+    std::vector<uint64_t> rows;
+    rows.reserve(3 * copies);
+    for (uint64_t block : {1, 4, 6}) {
+      rows.insert(rows.end(), copies, block * kBlockRows + 17);
+    }
+    return rows;
+  }
+};
+
+TEST_F(MultiBlockFailureTest, LoadErrorFailsTheSameWay) {
+  if (!fail::CompiledIn()) {
+    GTEST_SKIP() << "failpoints compiled out (CORRA_FAILPOINTS_OFF)";
+  }
+  fail::ScopedFailpoint fp("cache.load_error", "every:1");
+  ASSERT_TRUE(fp.status().ok());
+
+  ExpectSameLoadError(MultiBlockScan(), MultiBlockRows(64));
+}
+
+TEST_F(MultiBlockFailureTest, LoadErrorUnderAllowPartialDegradesTheSameWay) {
+  if (!fail::CompiledIn()) {
+    GTEST_SKIP() << "failpoints compiled out (CORRA_FAILPOINTS_OFF)";
+  }
+  fail::ScopedFailpoint fp("cache.load_error", "every:1");
+  ASSERT_TRUE(fp.status().ok());
+
+  ExpectSamePartialResult(MultiBlockScan(), {2, 3, 4, 5});
+}
+
+TEST_F(MultiBlockFailureTest, DeadlineAfterAdmissionFailsTheSameWay) {
+  const std::vector<uint64_t> rows = MultiBlockRows(400'000);
+  const Status pooled = ExpireAfterAdmission(4, rows);
+  const Status inline_run = ExpireAfterAdmission(0, rows);
   EXPECT_TRUE(pooled.IsDeadlineExceeded()) << pooled.ToString();
   EXPECT_EQ(pooled.message().find("admission"), std::string::npos)
       << pooled.ToString();

@@ -1,8 +1,9 @@
 // End-to-end serving telemetry: a traced ScanService request must
 // explain itself — phase timings that partition the wall clock (inline
-// execution), per-block scheme annotations matching the compression
-// plan, pruned/hit flags matching the cache's behavior — and the
-// registry histograms must agree with the number of requests issued.
+// execution), queue wait that is exactly the blocks' pool handoffs,
+// per-block scheme annotations matching the compression plan,
+// pruned/hit flags matching the cache's behavior — and the registry
+// histograms must agree with the number of requests issued.
 
 #include <gtest/gtest.h>
 
@@ -74,103 +75,131 @@ class TraceServeTest : public ::testing::Test {
   std::vector<int64_t> ship_, receipt_;
 };
 
+// Runs once inline (num_threads = 0) and once pooled (one pool task per
+// block), so both routes of the per-block step are held to the same
+// spans, phases and counters.
 TEST_F(TraceServeTest, TracedRequestExplainsItsLatency) {
-  obs::Registry registry;
-  auto cache = std::make_shared<BlockCache>(
-      BlockCacheOptions{.registry = &registry});
-  auto reader = TableReader::Open(path_, cache);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  for (size_t num_threads : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE("num_threads = " + std::to_string(num_threads));
+    obs::Registry registry;
+    auto cache = std::make_shared<BlockCache>(
+        BlockCacheOptions{.registry = &registry});
+    auto reader = TableReader::Open(path_, cache);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    ScanService service({.num_threads = num_threads, .registry = &registry});
+    const bool pooled = num_threads != 0;
 
-  // Inline execution (num_threads = 0): the phases are disjoint
-  // sub-intervals of the request's wall clock, so they must sum to at
-  // most the total and cover most of it.
-  ScanService service({.num_threads = 0, .registry = &registry});
+    ScanRequest request;
+    request.filter_column = 0;
+    request.filter_lo = 0;
+    request.filter_hi = 22500;  // Matches blocks 0-2; block 3 prunes.
+    request.project_columns = {0, 1};
+    request.return_positions = true;
+    request.collect_trace = true;
 
-  ScanRequest request;
-  request.filter_column = 0;
-  request.filter_lo = 0;
-  request.filter_hi = 22500;  // Matches blocks 0-2; block 3 prunes.
-  request.project_columns = {0, 1};
-  request.return_positions = true;
-  request.collect_trace = true;
+    // Checks shared by the cold and the warm request.
+    const auto check = [&](const obs::RequestTrace& trace, bool warm) {
+      EXPECT_EQ(trace.op, "execute");
+      EXPECT_EQ(trace.rows_scanned, kRows);
+      EXPECT_GT(trace.total_ns, 0u);
+      // A caller that sees its request complete sees every block
+      // unpinned: pool tasks drop their pin before signalling.
+      EXPECT_EQ(cache->GetStats().pinned_blocks, 0u);
 
-  auto result = service.Execute(*reader.value(), request);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_TRUE(result.value().trace.has_value());
-  const obs::RequestTrace& trace = *result.value().trace;
-
-  EXPECT_EQ(trace.op, "execute");
-  EXPECT_EQ(trace.rows_scanned, kRows);
-  EXPECT_EQ(trace.rows_matched, result.value().rows_matched);
-  EXPECT_GT(trace.total_ns, 0u);
-
-  // Phase accounting: with inline execution the sum never exceeds the
-  // wall clock, and the timed phases cover the bulk of it (the untimed
-  // remainder is validation + vector setup).
-  const uint64_t phase_sum = trace.PhaseTotalNs();
-  EXPECT_LE(phase_sum, trace.total_ns);
-  EXPECT_GE(phase_sum, trace.total_ns / 2)
-      << "timed phases explain too little of the request: " << phase_sum
-      << " of " << trace.total_ns << "ns — " << trace.ToJson();
-  EXPECT_EQ(trace.phase(obs::Phase::kQueueWait), 0u);  // No pool.
-
-  // Block annotations: 4 blocks, the last pruned via min/max stats.
-  ASSERT_EQ(trace.blocks.size(), 4u);
-  EXPECT_EQ(result.value().blocks_skipped, 1u);
-  for (size_t b = 0; b < 3; ++b) {
-    const obs::BlockSpan& span = trace.blocks[b];
-    EXPECT_EQ(span.block, b);
-    EXPECT_EQ(span.rows, kBlockRows);
-    EXPECT_FALSE(span.pruned);
-    EXPECT_FALSE(span.cache_hit);  // Cold cache: every pin filled.
-    EXPECT_GT(span.fill_ns, 0u);
-    EXPECT_GT(span.decode_ns, 0u);
-    EXPECT_EQ(span.schemes, "0:FOR,1:Corra-Diff");
-  }
-  EXPECT_TRUE(trace.blocks[3].pruned);
-  EXPECT_EQ(trace.blocks[3].rows, kBlockRows);
-  EXPECT_TRUE(trace.blocks[3].schemes.empty());  // Never materialized.
-
-  // Fill time is part of the request's attributed time and also feeds
-  // the kMissFill phase.
-  EXPECT_GT(trace.phase(obs::Phase::kMissFill), 0u);
-  EXPECT_GT(trace.phase(obs::Phase::kDecodeFilter), 0u);
-
-  // A second, identical request hits the warm cache.
-  auto again = service.Execute(*reader.value(), request);
-  ASSERT_TRUE(again.ok());
-  ASSERT_TRUE(again.value().trace.has_value());
-  for (size_t b = 0; b < 3; ++b) {
-    EXPECT_TRUE(again.value().trace->blocks[b].cache_hit);
-    EXPECT_EQ(again.value().trace->blocks[b].fill_ns, 0u);
-  }
-
-  // Registry agreement: two requests issued, two recorded.
-  const obs::RegistrySnapshot snap = registry.Snapshot();
-  const auto find_hist = [&snap](std::string_view name) {
-    for (const auto& [n, h] : snap.histograms) {
-      if (n == name) {
-        return h;
+      // Block annotations: 4 spans in block order, the last pruned via
+      // min/max stats.
+      ASSERT_EQ(trace.blocks.size(), 4u);
+      uint64_t queue_sum = 0;
+      for (size_t b = 0; b < 3; ++b) {
+        const obs::BlockSpan& span = trace.blocks[b];
+        EXPECT_EQ(span.block, b);
+        EXPECT_EQ(span.rows, kBlockRows);
+        EXPECT_FALSE(span.pruned);
+        EXPECT_EQ(span.schemes, "0:FOR,1:Corra-Diff");
+        EXPECT_GT(span.decode_ns, 0u);
+        if (warm) {
+          EXPECT_TRUE(span.cache_hit);
+          EXPECT_EQ(span.fill_ns, 0u);
+        } else {
+          EXPECT_FALSE(span.cache_hit);  // Cold cache: every pin filled.
+          EXPECT_GT(span.fill_ns, 0u);
+        }
+        queue_sum += span.queue_ns;
       }
-    }
-    return obs::HistogramSnapshot{};
-  };
-  EXPECT_EQ(find_hist("serve.request_latency_us").count, 2u);
-  EXPECT_EQ(find_hist("serve.phase_us{phase=\"decode_filter\"}").count, 2u);
-  const auto find_counter = [&snap](std::string_view name) -> uint64_t {
-    for (const auto& [n, v] : snap.counters) {
-      if (n == name) {
-        return v;
+      EXPECT_TRUE(trace.blocks[3].pruned);
+      EXPECT_EQ(trace.blocks[3].block, 3u);
+      EXPECT_EQ(trace.blocks[3].rows, kBlockRows);
+      EXPECT_TRUE(trace.blocks[3].schemes.empty());  // Never materialized.
+      EXPECT_EQ(trace.blocks[3].queue_ns, 0u);
+
+      // The queue-wait phase is exactly the blocks' handoff waits.
+      EXPECT_EQ(trace.phase(obs::Phase::kQueueWait), queue_sum);
+      EXPECT_GT(trace.phase(obs::Phase::kDecodeFilter), 0u);
+      if (!warm) {
+        // Fill time is part of the request's attributed time and also
+        // feeds the kMissFill phase.
+        EXPECT_GT(trace.phase(obs::Phase::kMissFill), 0u);
       }
-    }
-    return 0;
-  };
-  EXPECT_EQ(find_counter("serve.requests"), 2u);
-  EXPECT_EQ(find_counter("serve.rows_scanned"), 2 * kRows);
-  EXPECT_EQ(find_counter("serve.blocks_pruned"), 2u);
-  // The cache saw 3 cold misses, then 3 warm hits.
-  EXPECT_EQ(find_counter("cache.misses"), 3u);
-  EXPECT_EQ(find_counter("cache.hits"), 3u);
+
+      if (!pooled) {
+        // Inline execution: the phases are disjoint sub-intervals of
+        // the request's wall clock, so they never exceed it and the
+        // timed phases cover the bulk of it (the untimed remainder is
+        // validation + vector setup). Pooled blocks overlap in real
+        // time, so their phases may sum past the total.
+        const uint64_t phase_sum = trace.PhaseTotalNs();
+        EXPECT_LE(phase_sum, trace.total_ns);
+        EXPECT_GE(phase_sum, trace.total_ns / 2)
+            << "timed phases explain too little of the request: "
+            << phase_sum << " of " << trace.total_ns << "ns — "
+            << trace.ToJson();
+        EXPECT_EQ(queue_sum, 0u);  // No pool.
+      }
+    };
+
+    auto result = service.Execute(*reader.value(), request);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_TRUE(result.value().trace.has_value());
+    EXPECT_EQ(result.value().trace->rows_matched,
+              result.value().rows_matched);
+    EXPECT_EQ(result.value().blocks_skipped, 1u);
+    check(*result.value().trace, /*warm=*/false);
+
+    // A second, identical request hits the warm cache.
+    auto again = service.Execute(*reader.value(), request);
+    ASSERT_TRUE(again.ok());
+    ASSERT_TRUE(again.value().trace.has_value());
+    EXPECT_EQ(again.value().positions, result.value().positions);
+    EXPECT_EQ(again.value().columns, result.value().columns);
+    check(*again.value().trace, /*warm=*/true);
+
+    // Registry agreement: two requests issued, two recorded.
+    const obs::RegistrySnapshot snap = registry.Snapshot();
+    const auto find_hist = [&snap](std::string_view name) {
+      for (const auto& [n, h] : snap.histograms) {
+        if (n == name) {
+          return h;
+        }
+      }
+      return obs::HistogramSnapshot{};
+    };
+    EXPECT_EQ(find_hist("serve.request_latency_us").count, 2u);
+    EXPECT_EQ(find_hist("serve.phase_us{phase=\"decode_filter\"}").count, 2u);
+    const auto find_counter = [&snap](std::string_view name) -> uint64_t {
+      for (const auto& [n, v] : snap.counters) {
+        if (n == name) {
+          return v;
+        }
+      }
+      return 0;
+    };
+    EXPECT_EQ(find_counter("serve.requests"), 2u);
+    EXPECT_EQ(find_counter("serve.rows_scanned"), 2 * kRows);
+    EXPECT_EQ(find_counter("serve.blocks_pruned"), 2u);
+    // The cache saw 3 cold misses, then 3 warm hits.
+    EXPECT_EQ(find_counter("cache.misses"), 3u);
+    EXPECT_EQ(find_counter("cache.hits"), 3u);
+  }
 }
 
 TEST_F(TraceServeTest, SlowRingRetainsUntracedRequests) {
