@@ -13,8 +13,10 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "core/corra_compressor.h"
 #include "core/diff_encoding.h"
 #include "core/hierarchical_encoding.h"
+#include "datagen/taxi.h"
 #include "encoding/delta.h"
 #include "encoding/dictionary.h"
 #include "encoding/for.h"
@@ -90,6 +92,30 @@ void DecodeRangeSweep(const enc::EncodedColumn& column, int64_t* sink) {
     acc += buffer[0] + buffer[len - 1];
   });
   *sink = acc;
+}
+
+// One taxi block compressed with the paper's plan: dropoff Diff against
+// pickup, total_amount MultiRef over groups A / B / C with 2-bit codes.
+CompressedTable CompressTaxiBlock(size_t rows) {
+  using C = datagen::TaxiColumns;
+  CompressionPlan plan = CompressionPlan::AllAuto(11);
+  plan.block_rows = rows;
+  plan.columns[C::kDropoff].auto_vertical = false;
+  plan.columns[C::kDropoff].scheme = enc::Scheme::kDiff;
+  plan.columns[C::kDropoff].reference = C::kPickup;
+  auto& total = plan.columns[C::kTotalAmount];
+  total.auto_vertical = false;
+  total.scheme = enc::Scheme::kMultiRef;
+  total.formulas.groups = {
+      {C::kMtaTax, C::kFareAmount, C::kImprovementSurcharge, C::kExtra,
+       C::kTipAmount, C::kTollsAmount},
+      {C::kCongestionSurcharge},
+      {C::kAirportFee}};
+  total.formulas.formulas = {0b001, 0b011, 0b101, 0b111};
+  total.formulas.code_bits = 2;
+  total.max_outlier_fraction = 0.02;
+  return CorraCompressor::Compress(datagen::MakeTaxiTable(rows).value(), plan)
+      .value();
 }
 
 void RunAll(const bench::Flags& flags) {
@@ -278,6 +304,19 @@ void RunAll(const bench::Flags& flags) {
            [&] { sink += query::SumColumn(*dict_column); });
   RunBench(&reporter, "sum/diff", rows, reps,
            [&] { sink += query::SumColumn(*diff_column); });
+  // MultiRef SUM in the compressed domain, and the same column through
+  // the base class's decode-and-fold SumRange: a same-binary A/B.
+  {
+    const CompressedTable taxi = CompressTaxiBlock(rows);
+    const enc::EncodedColumn& total =
+        taxi.block(0).column(datagen::TaxiColumns::kTotalAmount);
+    RunBench(&reporter, "sum/multiref", rows, reps,
+             [&] { sink += query::SumColumn(total); });
+    RunBench(&reporter, "sum_decoded/multiref", rows, reps, [&] {
+      sink += static_cast<int64_t>(
+          total.enc::EncodedColumn::SumRange(0, total.size()));
+    });
+  }
   RunBench(&reporter, "min/diff", rows, reps, [&] {
     sink += query::MinColumn(*diff_column).value_or(0);
   });

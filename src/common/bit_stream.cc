@@ -60,6 +60,30 @@ void BitReader::DecodeRange(size_t begin, size_t count,
   simd::UnpackRange(data_, bit_width_, begin, count, out);
 }
 
+uint64_t BitReader::Sum(size_t begin, size_t count) const {
+  if (bit_width_ == 0 || count == 0) {
+    return 0;
+  }
+  if (bit_width_ <= 2) {
+    // Popcounts over the bit planes; no value is unpacked.
+    uint64_t counts[4];
+    simd::CountValues(data_, bit_width_, begin, count, counts);
+    return bit_width_ == 1 ? counts[1]
+                           : counts[1] + 2 * counts[2] + 3 * counts[3];
+  }
+  constexpr size_t kChunk = 1024;  // 8 KB of unpacked values: L1-resident.
+  uint64_t values[kChunk];
+  uint64_t sum = 0;
+  while (count > 0) {
+    const size_t len = std::min(kChunk, count);
+    simd::UnpackRange(data_, bit_width_, begin, len, values);
+    sum += simd::SumU64(values, len);
+    begin += len;
+    count -= len;
+  }
+  return sum;
+}
+
 bool BitReader::AllBelow(uint64_t limit) const {
   if (count_ == 0 || (bit_width_ < 64 && limit >> bit_width_ != 0)) {
     return true;  // Every bit_width_-bit value is below `limit`.

@@ -90,6 +90,11 @@ class BitReader {
   /// readable slack (see the constructor).
   void DecodeRange(size_t begin, size_t count, uint64_t* out) const;
 
+  /// Wrap-around sum of the `count` values starting at position `begin`.
+  /// Widths 1 and 2 count bit planes with popcounts; wider streams are
+  /// unpacked in L1-sized chunks and folded.
+  uint64_t Sum(size_t begin, size_t count) const;
+
   /// True iff every value in the stream is below `limit`. Deserialize
   /// bounds stored codes against their table with it: free when no
   /// bit_width()-bit value can reach `limit`, otherwise one pass of

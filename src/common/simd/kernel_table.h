@@ -57,6 +57,9 @@ struct KernelTable {
                       size_t, int64_t*);
   void (*gather_bits)(const uint8_t*, int, const uint32_t*, size_t,
                       uint64_t*);
+  void (*count_values)(const uint8_t*, int, size_t, size_t, uint64_t*);
+  void (*count_selected_bits)(const uint8_t*, int, const uint8_t*, size_t,
+                              size_t, uint32_t, uint64_t*);
   const char* name;
 };
 

@@ -30,12 +30,31 @@ bool CpuHasAvx2() {
 #endif
 }
 
+bool CpuHasBmi2AndPopcnt() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("popcnt");
+#else
+  return false;
+#endif
+}
+
 const KernelTable& SelectTable() {
-  if (const KernelTable* avx2 = Avx2Table();
-      avx2 != nullptr && CpuHasAvx2() && !ForceScalarFromEnv()) {
+  const KernelTable* avx2 = Avx2Table();
+  if (avx2 == nullptr || !CpuHasAvx2() || ForceScalarFromEnv()) {
+    return ScalarTable();
+  }
+  if (CpuHasBmi2AndPopcnt()) {
     return *avx2;
   }
-  return ScalarTable();
+  // The AVX2 bit-plane kernels use BMI2 pext and POPCNT; without them
+  // those two entries fall back to the scalar twins.
+  static const KernelTable avx2_without_bmi2 = [avx2] {
+    KernelTable table = *avx2;
+    table.count_values = ScalarTable().count_values;
+    table.count_selected_bits = ScalarTable().count_selected_bits;
+    return table;
+  }();
+  return avx2_without_bmi2;
 }
 
 }  // namespace
@@ -277,6 +296,30 @@ void GatherBits(const uint8_t* data, int bit_width, const uint32_t* rows,
 void GatherBitsScalar(const uint8_t* data, int bit_width,
                       const uint32_t* rows, size_t count, uint64_t* out) {
   ScalarTable().gather_bits(data, bit_width, rows, count, out);
+}
+
+void CountValues(const uint8_t* data, int bit_width, size_t begin,
+                 size_t count, uint64_t* counts) {
+  ActiveTable().count_values(data, bit_width, begin, count, counts);
+}
+
+void CountValuesScalar(const uint8_t* data, int bit_width, size_t begin,
+                       size_t count, uint64_t* counts) {
+  ScalarTable().count_values(data, bit_width, begin, count, counts);
+}
+
+void CountSelectedBits(const uint8_t* codes, int code_bits,
+                       const uint8_t* bits, size_t begin, size_t count,
+                       uint32_t members, uint64_t* selected) {
+  ActiveTable().count_selected_bits(codes, code_bits, bits, begin, count,
+                                    members, selected);
+}
+
+void CountSelectedBitsScalar(const uint8_t* codes, int code_bits,
+                             const uint8_t* bits, size_t begin, size_t count,
+                             uint32_t members, uint64_t* selected) {
+  ScalarTable().count_selected_bits(codes, code_bits, bits, begin, count,
+                                    members, selected);
 }
 
 }  // namespace corra::simd

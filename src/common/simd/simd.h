@@ -1,7 +1,7 @@
 // The SIMD kernel layer: the branchless building blocks every morsel of
 // the batch decode pipeline bottoms out in.
 //
-// Three kernel families, each with an AVX2 implementation selected by
+// Kernel families, each with an AVX2 implementation selected by
 // runtime CPU dispatch and an unrolled scalar fallback:
 //
 //   * Unpack kernels  — per-bit-width specialized bit-unpackers (widths
@@ -17,6 +17,9 @@
 //     non-matching morsels are never reconstructed.
 //   * Aggregate kernels — 4-lane sum/min/max folds with one horizontal
 //     reduce per call, used by query/aggregate.cc.
+//   * Bit-plane kernels — popcount counts over 1- and 2-bit packed
+//     streams, used by the compressed-domain sums (SumRange) of FOR,
+//     Dict and MultiRef.
 //
 // Dispatch: the first call probes the CPU once. The environment variable
 // CORRA_FORCE_SCALAR (any value but "0") forces the scalar table at run
@@ -142,7 +145,8 @@ void ZigZagPrefixSumScalar(const uint64_t* zigzag, size_t count, int64_t seed,
 
 /// Wrap-around sum of ZigZagDecode over `count` consecutive values of the
 /// bit-packed stream, starting at value index `begin` — the Delta
-/// point-access fold (checkpoint + fold of the replay window), fused with
+/// point-access fold (checkpoint + fold of the replay window) and the
+/// zig-zag Diff column's range sum, fused with
 /// the unpack so the replay never materializes: narrow widths (<= 14)
 /// decode four values per 8-byte load with one variable shift, medium
 /// widths (<= 28) two per load, and the whole fold is ~3 instructions per
@@ -289,6 +293,35 @@ void GatherBits(const uint8_t* data, int bit_width, const uint32_t* rows,
                 size_t count, uint64_t* out);
 void GatherBitsScalar(const uint8_t* data, int bit_width,
                       const uint32_t* rows, size_t count, uint64_t* out);
+
+// --- Bit-plane kernels --------------------------------------------------------
+//
+// Counting kernels over 1- and 2-bit packed streams that never unpack a
+// value: each 64-value group is split into bit planes (value bit 0 and
+// value bit 1 of all 64 values, one word each) and counted with
+// popcounts. The AVX2 table splits 2-bit groups with BMI2 pext and is
+// only used for these kernels when the CPU also has BMI2 and POPCNT.
+// `data` must carry bit_util::kDecodePadBytes of readable slack.
+
+/// counts[v] = how many of the values [begin, begin + count) of a 1- or
+/// 2-bit packed stream equal v (`counts` holds 1 << bit_width entries).
+void CountValues(const uint8_t* data, int bit_width, size_t begin,
+                 size_t count, uint64_t* counts);
+void CountValuesScalar(const uint8_t* data, int bit_width, size_t begin,
+                       size_t count, uint64_t* counts);
+
+/// The MultiRef masked-group count: over rows [begin, begin + count),
+/// counts the rows whose code in the 1- or 2-bit stream `codes` is in
+/// `members` (bit c set => code c) by the value of their bit in the
+/// 1-bit stream `bits`: selected[0] rows with a 0 bit, selected[1] with
+/// a 1 bit. Per 64 rows: the code planes, a membership mask, and two
+/// popcounts.
+void CountSelectedBits(const uint8_t* codes, int code_bits,
+                       const uint8_t* bits, size_t begin, size_t count,
+                       uint32_t members, uint64_t* selected);
+void CountSelectedBitsScalar(const uint8_t* codes, int code_bits,
+                             const uint8_t* bits, size_t begin, size_t count,
+                             uint32_t members, uint64_t* selected);
 
 }  // namespace corra::simd
 

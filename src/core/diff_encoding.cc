@@ -212,7 +212,8 @@ int64_t DiffEncodedColumn::DiffAt(size_t row) const {
     case DiffMode::kZigZag:
       return bit_util::ZigZagDecode(packed_.Get(row));
     case DiffMode::kWindow:
-      return base_ + static_cast<int64_t>(packed_.Get(row));
+      return static_cast<int64_t>(static_cast<uint64_t>(base_) +
+                                  packed_.Get(row));
   }
   return 0;
 }
@@ -224,7 +225,8 @@ int64_t DiffEncodedColumn::Get(size_t row) const {
       return *v;
     }
   }
-  return ref_->Get(row) + DiffAt(row);
+  return static_cast<int64_t>(static_cast<uint64_t>(ref_->Get(row)) +
+                              static_cast<uint64_t>(DiffAt(row)));
 }
 
 void DiffEncodedColumn::GatherWithReference(std::span<const uint32_t> rows,
@@ -284,6 +286,46 @@ void DiffEncodedColumn::DecodeRangeWithReference(size_t row_begin,
     done += len;
   }
   outliers_.PatchRange(row_begin, count, out);
+}
+
+uint64_t DiffEncodedColumn::SumRange(size_t row_begin,
+                                     size_t count) const {
+  assert(ref_ != nullptr && "reference not bound");
+  // sum(target) = sum(reference) + sum(diff), each in its own
+  // compressed domain; the target is never decoded.
+  uint64_t sum = ref_->SumRange(row_begin, count);
+  switch (mode_) {
+    case DiffMode::kRaw:
+      sum += packed_.Sum(row_begin, count);
+      break;
+    case DiffMode::kZigZag:
+      sum += static_cast<uint64_t>(simd::ZigZagSumPacked(
+          bytes_.data(), packed_.bit_width(), row_begin, count));
+      break;
+    case DiffMode::kWindow:
+      sum += static_cast<uint64_t>(base_) * count +
+             packed_.Sum(row_begin, count);
+      break;
+  }
+  // An outlier row holds its own value, not reference + diff: swap one
+  // for the other.
+  const auto [first, last] = outliers_.IndexRange(row_begin, count);
+  if (first == last) {
+    return sum;
+  }
+  sum += outliers_.SumValues(first, last);
+  const auto rows = outliers_.rows().subspan(first, last - first);
+  int64_t ref_values[enc::kMorselRows];
+  for (size_t done = 0; done < rows.size(); done += enc::kMorselRows) {
+    const auto chunk =
+        rows.subspan(done, std::min(rows.size() - done, enc::kMorselRows));
+    ref_->GatherRange(chunk, ref_values);
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      sum -= static_cast<uint64_t>(ref_values[i]) +
+             static_cast<uint64_t>(DiffAt(chunk[i]));
+    }
+  }
+  return sum;
 }
 
 void DiffEncodedColumn::Serialize(BufferWriter* writer) const {

@@ -77,6 +77,7 @@ class DiffEncodedColumn final : public SingleRefColumn {
   void DecodeRangeWithReference(size_t row_begin, size_t count,
                                 const int64_t* ref_values,
                                 int64_t* out) const override;
+  uint64_t SumRange(size_t row_begin, size_t count) const override;
   void Serialize(BufferWriter* writer) const override;
 
   DiffMode mode() const { return mode_; }

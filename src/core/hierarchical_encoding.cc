@@ -148,6 +148,10 @@ Result<std::unique_ptr<HierarchicalColumn>> HierarchicalColumn::Deserialize(
   if (width > 64) {
     return Status::Corruption("hierarchical width > 64");
   }
+  if (count > 0 && (values.empty() || offsets.size() < 2)) {
+    // No reference code or flattened index could be clamped into range.
+    return Status::Corruption("hierarchical rows without metadata");
+  }
   SharedBytes bytes;
   CORRA_RETURN_NOT_OK(reader->ReadPayload(
       bit_util::PackedDataBytes(count, width), "hierarchical", &bytes));
@@ -162,10 +166,23 @@ size_t HierarchicalColumn::SizeBytes() const {
          offsets_.size() * sizeof(uint32_t);
 }
 
+// Every lookup below clamps the reference code to the last offsets
+// slot and the flattened index to the last value, with branch-free
+// mins: on an unverified payload (verify off) corrupt codes then read
+// wrong values, never out of bounds. Detecting them is
+// VerifyWithReference's job. Deserialize guarantees both vectors are
+// non-empty (offsets_ has >= 2 entries) whenever the column has rows.
+size_t HierarchicalColumn::ValueIndex(int64_t ref_code,
+                                      uint64_t local) const {
+  const size_t ref =
+      std::min(static_cast<size_t>(ref_code), offsets_.size() - 2);
+  return std::min(static_cast<size_t>(offsets_[ref] + local),
+                  values_.size() - 1);
+}
+
 int64_t HierarchicalColumn::Get(size_t row) const {
   assert(ref_ != nullptr && "reference not bound");
-  const size_t ref = static_cast<size_t>(ref_->Get(row));
-  return values_[offsets_[ref] + local_.Get(row)];
+  return values_[ValueIndex(ref_->Get(row), local_.Get(row))];
 }
 
 void HierarchicalColumn::GatherWithReference(std::span<const uint32_t> rows,
@@ -180,8 +197,7 @@ void HierarchicalColumn::GatherWithReference(std::span<const uint32_t> rows,
     simd::GatherBits(bytes_.data(), local_.bit_width(), rows.data() + done,
                      len, local);
     for (size_t i = 0; i < len; ++i) {
-      const size_t ref = static_cast<size_t>(ref_values[done + i]);
-      out[done + i] = values_[offsets_[ref] + local[i]];
+      out[done + i] = values_[ValueIndex(ref_values[done + i], local[i])];
     }
     done += len;
   }
@@ -196,8 +212,7 @@ void HierarchicalColumn::DecodeRangeWithReference(size_t row_begin,
   // flattened metadata in place.
   local_.DecodeRange(row_begin, count, reinterpret_cast<uint64_t*>(out));
   for (size_t i = 0; i < count; ++i) {
-    const size_t ref = static_cast<size_t>(ref_values[i]);
-    out[i] = values_[offsets_[ref] + static_cast<uint64_t>(out[i])];
+    out[i] = values_[ValueIndex(ref_values[i], static_cast<uint64_t>(out[i]))];
   }
 }
 

@@ -77,6 +77,9 @@ class HierarchicalColumn final : public SingleRefColumn {
                      std::vector<uint32_t> offsets,
                      SharedBytes bytes, int bit_width, size_t count);
 
+  // Clamped index into values_ of (reference code, local index).
+  size_t ValueIndex(int64_t ref_code, uint64_t local) const;
+
   std::vector<int64_t> values_;    // Concatenated local dictionaries.
   std::vector<uint32_t> offsets_;  // ref_cardinality()+1 entries.
   SharedBytes bytes_;              // Bit-packed local indices.

@@ -5,6 +5,7 @@
 
 #include "common/bit_util.h"
 #include "common/simd/simd.h"
+#include "encoding/dictionary.h"
 
 namespace corra {
 
@@ -327,9 +328,8 @@ void MultiRefColumn::Combine(const uint64_t* codes, size_t len,
   }
 }
 
-void MultiRefColumn::GatherRange(std::span<const uint32_t> rows,
-                                 int64_t* out) const {
-  assert(!bound_groups_.empty() && "references not bound");
+void MultiRefColumn::GatherFormulas(std::span<const uint32_t> rows,
+                                    int64_t* out) const {
   // Morsel-sized chunks: one positioned GatherRange per reference column
   // per chunk (each scheme's sparse fast path) and one bulk gather of
   // the formula codes.
@@ -346,6 +346,12 @@ void MultiRefColumn::GatherRange(std::span<const uint32_t> rows,
         },
         out + begin);
   }
+}
+
+void MultiRefColumn::GatherRange(std::span<const uint32_t> rows,
+                                 int64_t* out) const {
+  assert(!bound_groups_.empty() && "references not bound");
+  GatherFormulas(rows, out);
   outliers_.Patch(rows, out);
 }
 
@@ -369,6 +375,113 @@ void MultiRefColumn::DecodeRange(size_t row_begin, size_t count,
     out += len;
     count -= len;
   }
+}
+
+const enc::DictColumn* MultiRefColumn::PlaneColumn(
+    const enc::EncodedColumn* col) const {
+  if (table_.code_bits > 2 || col->scheme() != enc::Scheme::kDict) {
+    return nullptr;
+  }
+  const auto* dict = static_cast<const enc::DictColumn*>(col);
+  return dict->bit_width() == 1 ? dict : nullptr;
+}
+
+uint64_t MultiRefColumn::SumRange(size_t row_begin, size_t count) const {
+  assert(!bound_groups_.empty() && "references not bound");
+  // Every row adds the formula its code names, so the sum over rows is a
+  // sum over the reference columns, each summed in its own compressed
+  // domain. Outlier rows are corrected at the end. Wraps like the
+  // ranged decode.
+  uint64_t sum = 0;
+  bool fold = false;  // A masked column needs the morsel fold below.
+  const size_t num_codes = table_.formulas.size();
+  for (size_t g = 0; g < bound_groups_.size(); ++g) {
+    if ((always_groups_ >> g) & 1u) {
+      // Every formula adds this group: whole-range sums.
+      for (const enc::EncodedColumn* col : bound_groups_[g]) {
+        sum += col->SumRange(row_begin, count);
+      }
+      continue;
+    }
+    if (!((masked_groups_ >> g) & 1u)) {
+      continue;  // No formula adds it.
+    }
+    for (const enc::EncodedColumn* col : bound_groups_[g]) {
+      const enc::DictColumn* dict = PlaneColumn(col);
+      if (dict == nullptr) {
+        fold = true;
+        continue;
+      }
+      // A 1-bit Dict under 1- or 2-bit codes: count the selected rows
+      // by their dictionary bit straight from the bit planes.
+      uint32_t members = 0;  // Codes (at most 4) whose formula adds g.
+      for (size_t code = 0; code < num_codes; ++code) {
+        members |= static_cast<uint32_t>((table_.formulas[code] >> g) & 1u)
+                   << code;
+      }
+      uint64_t selected[2];
+      simd::CountSelectedBits(bytes_.data(), table_.code_bits,
+                              dict->code_data(), row_begin, count, members,
+                              selected);
+      // Deserialize bounds every code below the dictionary's size.
+      const auto values = dict->dictionary();
+      for (size_t bit = 0; bit < std::min<size_t>(2, values.size()); ++bit) {
+        sum += selected[bit] * static_cast<uint64_t>(values[bit]);
+      }
+    }
+  }
+  if (fold) {
+    // Any other masked column: decode the codes once per morsel and fold
+    // value & lane, without writing the combined column.
+    uint64_t codes[enc::kMorselRows];
+    uint64_t lanes[enc::kMorselRows];
+    int64_t values[enc::kMorselRows];
+    for (size_t begin = row_begin, left = count; left > 0;) {
+      const size_t len = std::min(left, enc::kMorselRows);
+      codes_.DecodeRange(begin, len, codes);
+      for (size_t g = 0; g < bound_groups_.size(); ++g) {
+        if (!((masked_groups_ >> g) & 1u)) {
+          continue;
+        }
+        const uint64_t* group_lanes = lane_masks_.data() + g * num_codes;
+        bool lanes_ready = false;
+        for (const enc::EncodedColumn* col : bound_groups_[g]) {
+          if (PlaneColumn(col) != nullptr) {
+            continue;
+          }
+          if (!lanes_ready) {
+            for (size_t i = 0; i < len; ++i) {
+              lanes[i] = group_lanes[codes[i]];
+            }
+            lanes_ready = true;
+          }
+          col->DecodeRange(begin, len, values);
+          for (size_t i = 0; i < len; ++i) {
+            sum += static_cast<uint64_t>(values[i]) & lanes[i];
+          }
+        }
+      }
+      begin += len;
+      left -= len;
+    }
+  }
+  // An outlier row holds its own value, not its placeholder formula's:
+  // swap one for the other.
+  const auto [first, last] = outliers_.IndexRange(row_begin, count);
+  if (first == last) {
+    return sum;
+  }
+  sum += outliers_.SumValues(first, last);
+  const auto rows = outliers_.rows().subspan(first, last - first);
+  int64_t formula[enc::kMorselRows];
+  for (size_t done = 0; done < rows.size(); done += enc::kMorselRows) {
+    const auto chunk =
+        rows.subspan(done, std::min(rows.size() - done, enc::kMorselRows));
+    GatherFormulas(chunk, formula);
+    sum -= simd::SumU64(reinterpret_cast<const uint64_t*>(formula),
+                        chunk.size());
+  }
+  return sum;
 }
 
 size_t MultiRefColumn::SizeBytes() const {

@@ -21,6 +21,17 @@
 //
 // The implementation generalizes the example: any number of groups G <= 8,
 // any formula set (bitmasks over groups), any code width 1..8 bits.
+//
+// SUM never decodes the target (SumRange). Each row adds the formula its
+// code names, so the sum over a range is a sum over the references: a
+// group every formula adds (A) contributes its columns' own SumRange,
+// each in its compressed domain; a group only some formulas add (B, C)
+// contributes its value only on rows whose code selects it. For codes
+// of at most 2 bits and a 1-bit Dict column (congestion_surcharge and
+// airport_fee in taxi), those rows are counted per dictionary value
+// from the bit planes of both streams; any other such column is folded
+// as value & lane over morsels, with the codes decoded once per morsel.
+// Each outlier in the range then swaps its formula's value for its own.
 
 #ifndef CORRA_CORE_MULTI_REF_ENCODING_H_
 #define CORRA_CORE_MULTI_REF_ENCODING_H_
@@ -35,6 +46,10 @@
 #include "encoding/encoded_column.h"
 
 namespace corra {
+
+namespace enc {
+class DictColumn;
+}  // namespace enc
 
 /// The arithmetic logic of a multi-reference encoding: which columns form
 /// which group, and which group subsets are expressible as row codes.
@@ -84,6 +99,7 @@ class MultiRefColumn final : public enc::EncodedColumn {
                    int64_t* out) const override;
   void DecodeRange(size_t row_begin, size_t count,
                    int64_t* out) const override;
+  uint64_t SumRange(size_t row_begin, size_t count) const override;
   void Serialize(BufferWriter* writer) const override;
 
   std::vector<uint32_t> ReferenceIndices() const override;
@@ -117,6 +133,14 @@ class MultiRefColumn final : public enc::EncodedColumn {
   template <typename Fetch>
   void Combine(const uint64_t* codes, size_t len, const Fetch& fetch,
                int64_t* out) const;
+
+  // The formula sums at the sorted positions `rows`, outliers not
+  // patched: GatherRange patches them, SumRange corrects for them.
+  void GatherFormulas(std::span<const uint32_t> rows, int64_t* out) const;
+
+  // `col` as a 1-bit Dict when SumRange can count it from bit planes
+  // (codes of at most 2 bits), else null.
+  const enc::DictColumn* PlaneColumn(const enc::EncodedColumn* col) const;
 
   FormulaTable table_;
   SharedBytes bytes_;  // Bit-packed formula codes.

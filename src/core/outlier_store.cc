@@ -104,6 +104,14 @@ void OutlierStore::PatchRange(size_t row_begin, size_t count,
   }
 }
 
+std::pair<size_t, size_t> OutlierStore::IndexRange(size_t row_begin,
+                                                   size_t count) const {
+  const auto first = std::lower_bound(rows_.begin(), rows_.end(), row_begin);
+  const auto last = std::lower_bound(first, rows_.end(), row_begin + count);
+  return {static_cast<size_t>(first - rows_.begin()),
+          static_cast<size_t>(last - rows_.begin())};
+}
+
 size_t OutlierStore::SizeBytes() const {
   return rows_.size() * sizeof(uint32_t) +
          bit_util::CeilDiv(rows_.size() * values_.bit_width(), 8) +

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bit_stream.h"
@@ -57,8 +58,21 @@ class OutlierStore {
   /// locate the first covered outlier, then a linear walk.
   void PatchRange(size_t row_begin, size_t count, int64_t* out) const;
 
+  /// Indices [first, last) of the outliers whose rows lie in the dense
+  /// row range [row_begin, row_begin + count), by binary search.
+  std::pair<size_t, size_t> IndexRange(size_t row_begin,
+                                       size_t count) const;
+
+  /// Wrap-around sum of the values of outliers [first, last).
+  uint64_t SumValues(size_t first, size_t last) const {
+    return static_cast<uint64_t>(base_) * (last - first) +
+           values_.Sum(first, last - first);
+  }
+
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
+  /// Row indices of all outliers (ascending).
+  std::span<const uint32_t> rows() const { return rows_; }
 
   /// Compressed footprint: uint32 indices + FOR-packed values.
   size_t SizeBytes() const;

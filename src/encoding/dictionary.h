@@ -39,6 +39,7 @@ class DictColumn final : public EncodedColumn {
   void DecodeAll(int64_t* out) const override;
   void DecodeRange(size_t row_begin, size_t count,
                    int64_t* out) const override;
+  uint64_t SumRange(size_t row_begin, size_t count) const override;
   void Serialize(BufferWriter* writer) const override;
 
   /// The code stored at `row` (an index into dictionary()).
@@ -51,6 +52,8 @@ class DictColumn final : public EncodedColumn {
   }
   std::span<const int64_t> dictionary() const { return dict_; }
   int bit_width() const { return reader_.bit_width(); }
+  /// The packed codes (for the bit-plane kernels of common/simd).
+  const uint8_t* code_data() const { return bytes_.data(); }
 
  private:
   DictColumn(std::vector<int64_t> dict, SharedBytes bytes, int bit_width,

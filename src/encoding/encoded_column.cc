@@ -1,5 +1,7 @@
 #include "encoding/encoded_column.h"
 
+#include "common/simd/simd.h"
+
 namespace corra::enc {
 
 std::string_view SchemeToString(Scheme scheme) {
@@ -48,6 +50,19 @@ void EncodedColumn::DecodeRange(size_t row_begin, size_t count,
   for (size_t i = 0; i < count; ++i) {
     out[i] = Get(row_begin + i);
   }
+}
+
+uint64_t EncodedColumn::SumRange(size_t row_begin, size_t count) const {
+  int64_t values[kMorselRows];
+  uint64_t sum = 0;
+  while (count > 0) {
+    const size_t len = count < kMorselRows ? count : kMorselRows;
+    DecodeRange(row_begin, len, values);
+    sum += simd::SumU64(reinterpret_cast<const uint64_t*>(values), len);
+    row_begin += len;
+    count -= len;
+  }
+  return sum;
 }
 
 Status EncodedColumn::BindReferences(

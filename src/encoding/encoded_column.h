@@ -83,6 +83,15 @@ class EncodedColumn {
   virtual void DecodeRange(size_t row_begin, size_t count,
                            int64_t* out) const;
 
+  /// Wrap-around (uint64) sum of the values in the dense row range
+  /// [row_begin, row_begin + count) (row_begin + count <= size()) — the
+  /// SUM kernel of aggregate pushdown. Default: morsel-wise DecodeRange
+  /// plus a SIMD fold. Schemes override it to sum in the compressed
+  /// domain: FOR folds packed offsets, Dict counts codes, and the
+  /// horizontal Diff and MultiRef columns add up their references' own
+  /// SumRange, so the target is never decoded.
+  virtual uint64_t SumRange(size_t row_begin, size_t count) const;
+
   /// Appends the full wire representation (scheme byte first).
   virtual void Serialize(BufferWriter* writer) const = 0;
 

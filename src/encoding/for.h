@@ -42,14 +42,20 @@ class ForColumn final : public EncodedColumn {
   void DecodeAll(int64_t* out) const override;
   void DecodeRange(size_t row_begin, size_t count,
                    int64_t* out) const override;
+  uint64_t SumRange(size_t row_begin, size_t count) const override {
+    // count * base plus the sum of the packed offsets: no per-row
+    // rebase, and O(1) at width 0.
+    return static_cast<uint64_t>(base_) * count +
+           reader_.Sum(row_begin, count);
+  }
   void Serialize(BufferWriter* writer) const override;
 
   int64_t base() const { return base_; }
   int bit_width() const { return reader_.bit_width(); }
 
   /// Unpacks the raw (un-rebased) offsets of [row_begin, row_begin +
-  /// count) — the packed-domain ranged kernel aggregate pushdown folds
-  /// over (sum = n * base + sum of offsets, no per-row rebase).
+  /// count) — the packed-domain ranged kernel filter pushdown compares
+  /// against a rebased predicate.
   void DecodeOffsets(size_t row_begin, size_t count, uint64_t* out) const {
     reader_.DecodeRange(row_begin, count, out);
   }

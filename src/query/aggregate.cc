@@ -8,7 +8,6 @@
 #include "common/simd/simd.h"
 #include "core/ref_dispatch.h"
 #include "encoding/dictionary.h"
-#include "encoding/for.h"
 #include "query/kernel_counters.h"
 #include "query/morsel.h"
 
@@ -19,17 +18,6 @@ namespace {
 // All folds run one SIMD aggregate kernel per morsel (4-lane
 // accumulators, one horizontal reduce per call) instead of a scalar
 // per-row fold; see common/simd/simd.h.
-
-// Ranged decode-and-sum fallback for any scheme.
-uint64_t SumGeneric(const enc::EncodedColumn& column) {
-  uint64_t sum = 0;
-  ForEachDecodedMorsel(
-      column, 0, column.size(),
-      [&](size_t, const int64_t* values, size_t len) {
-        sum += simd::SumU64(reinterpret_cast<const uint64_t*>(values), len);
-      });
-  return sum;
-}
 
 // Ranged decode-and-minmax fallback for any scheme.
 void MinMaxGeneric(const enc::EncodedColumn& column, int64_t* min,
@@ -70,29 +58,7 @@ void MinMaxCodes(const enc::DictColumn& column, uint64_t* min_code,
 }  // namespace
 
 int64_t SumColumn(const enc::EncodedColumn& column) {
-  const size_t n = column.size();
-  if (n == 0) {
-    return 0;
-  }
-  uint64_t sum = 0;
-  DispatchRef(column, [&](const auto& col) {
-    using Column = std::decay_t<decltype(col)>;
-    if constexpr (std::is_same_v<Column, enc::ForColumn>) {
-      // sum = n * base + sum of packed offsets: fold the un-rebased
-      // morsel, skip the per-row rebase entirely.
-      uint64_t offsets[kMorselRows];
-      ForEachMorsel(0, n, [&](size_t begin, size_t len) {
-        col.DecodeOffsets(begin, len, offsets);
-        sum += simd::SumU64(offsets, len);
-      });
-      sum += static_cast<uint64_t>(col.base()) * n;
-    } else {
-      // Every other scheme, Dict included: ranged decode + fold (a
-      // per-code histogram measured 1.5-4.5x slower on Dict).
-      sum = SumGeneric(col);
-    }
-  });
-  return static_cast<int64_t>(sum);
+  return static_cast<int64_t>(column.SumRange(0, column.size()));
 }
 
 std::optional<int64_t> MinColumn(const enc::EncodedColumn& column) {
@@ -191,13 +157,18 @@ std::optional<int64_t> AggregateAt(const enc::EncodedColumn& column,
     hi = std::max(hi, morsel_max);
   };
   // Strictly increasing positions spanning exactly rows.size() rows are
-  // a dense range.
+  // a dense range: a sum runs in the compressed domain, min and max fold
+  // ranged decodes.
   if (rows.back() - rows.front() + 1 == rows.size()) {
     CountDecodeRows(column.scheme(), rows.size());
-    ForEachDecodedMorsel(column, rows.front(), rows.size(),
-                         [&](size_t, const int64_t* values, size_t len) {
-                           fold(values, len);
-                         });
+    if (op == AggregateOp::kSum) {
+      sum = column.SumRange(rows.front(), rows.size());
+    } else {
+      ForEachDecodedMorsel(column, rows.front(), rows.size(),
+                           [&](size_t, const int64_t* values, size_t len) {
+                             fold(values, len);
+                           });
+    }
   } else {
     CountGatherRows(column.scheme(), rows.size());
     int64_t values[kMorselRows];

@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "encoding/dictionary.h"
 #include "encoding/for.h"
+#include "storage/block.h"
 #include "test_util.h"
 
 namespace corra {
@@ -213,6 +214,91 @@ TEST(HierarchicalTest, VerifyCatchesOutOfRangeRefCode) {
   const enc::EncodedColumn* refs[] = {bad_ref.value().get()};
   ASSERT_TRUE(hier.value()->BindReferences(refs).ok());
   EXPECT_FALSE(hier.value()->VerifyWithReference().ok());
+}
+
+// A serialized block whose Hierarchical column (zip) was encoded against
+// city codes {0, 1, 2} but whose stored reference column holds codes 3
+// and 4, past the metadata. The block is structurally valid, so it loads
+// with verify off; only VerifyWithReference can reject it.
+std::vector<uint8_t> BlockWithOutOfRangeRefCodes() {
+  Fig3Data data;
+  const std::vector<int64_t> bad_city = {0, 3, 1, 4, 2, 3};
+  std::vector<BlockColumn> columns(2);
+  columns[0].encoded = enc::ForColumn::Encode(bad_city).value();
+  columns[1].encoded =
+      HierarchicalColumn::Encode(data.zip, data.city, 0).value();
+  auto block = Block::Build(std::move(columns));
+  EXPECT_TRUE(block.ok()) << block.status().ToString();
+  return block.value().Serialize();
+}
+
+// Loads that block with verify off. Every value an unverified decode
+// returns must still be one of the column's stored values.
+Block LoadUnverified() {
+  const auto bytes = BlockWithOutOfRangeRefCodes();
+  EXPECT_FALSE(Block::Deserialize(bytes, /*verify=*/true).ok());
+  auto block = Block::Deserialize(bytes, /*verify=*/false);
+  EXPECT_TRUE(block.ok()) << block.status().ToString();
+  return std::move(block).value();
+}
+
+void ExpectStoredZip(int64_t value) {
+  const Fig3Data data;
+  EXPECT_NE(std::find(data.zip.begin(), data.zip.end(), value),
+            data.zip.end())
+      << value;
+}
+
+TEST(HierarchicalTest, UnverifiedGetClampsOutOfRangeRefCode) {
+  const Block block = LoadUnverified();
+  for (size_t row = 0; row < block.rows(); ++row) {
+    ExpectStoredZip(block.column(1).Get(row));
+  }
+}
+
+TEST(HierarchicalTest, UnverifiedGatherClampsOutOfRangeRefCode) {
+  const Block block = LoadUnverified();
+  const std::vector<uint32_t> rows = {1, 3, 5};
+  std::vector<int64_t> out(rows.size());
+  block.column(1).GatherRange(rows, out.data());
+  for (int64_t v : out) {
+    ExpectStoredZip(v);
+  }
+}
+
+TEST(HierarchicalTest, UnverifiedDecodeRangeClampsOutOfRangeRefCode) {
+  const Block block = LoadUnverified();
+  std::vector<int64_t> out(block.rows());
+  block.column(1).DecodeRange(0, out.size(), out.data());
+  for (int64_t v : out) {
+    ExpectStoredZip(v);
+  }
+}
+
+TEST(HierarchicalTest, DeserializeRejectsRowsWithoutMetadata) {
+  // Rows with no values, under a single offset and under two: no clamp
+  // could land in range, so neither may load.
+  const std::vector<std::vector<int64_t>> values = {{}, {}};
+  const std::vector<std::vector<uint32_t>> offsets = {{0}, {0, 0}};
+  for (size_t c = 0; c < values.size(); ++c) {
+    SCOPED_TRACE(c);
+    BitWriter codes(1);
+    for (int i = 0; i < 6; ++i) {
+      codes.Append(0);
+    }
+    BufferWriter writer;
+    writer.Write<uint8_t>(static_cast<uint8_t>(enc::Scheme::kHierarchical));
+    writer.Write<uint32_t>(0);  // Reference index.
+    writer.WriteInt64Array(values[c]);
+    writer.WriteUint32Array(offsets[c]);
+    writer.Write<uint8_t>(1);   // Width.
+    writer.Write<uint64_t>(6);  // Rows.
+    writer.WriteBytes(std::move(codes).Finish());
+    BufferReader reader(SharedBytes::CopyPadded(std::move(writer).Finish()));
+    const auto result = DeserializeEncodedColumn(&reader);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+  }
 }
 
 // Property sweep: hierarchical reconstruction is exact for random

@@ -15,6 +15,7 @@
 
 #include "common/random.h"
 #include "core/corra_compressor.h"
+#include "encoding/dictionary.h"
 #include "query/filter.h"
 #include "query/selection_vector.h"
 #include "query/table_scan.h"
@@ -962,6 +963,87 @@ TEST(ScanServiceAggregateTest, FilteredAggregatesMatchOracle) {
         }
       }
     }
+  }
+  std::remove(path.c_str());
+}
+
+// A filtered SUM over a taxi-shaped MultiRef column (group A in every
+// formula; B and C, each a 1-bit Dict, in some) whose filter selects
+// contiguous rows that start and end off the 64-row group grid inside
+// each block: the service's SumRange path, compared with a fold of the
+// decoded column.
+TEST(ScanServiceAggregateTest, FilteredMultiRefSumMatchesDecodeOracle) {
+  constexpr size_t kRows = 6000;
+  constexpr size_t kBlockRows = 2500;
+  Rng rng(35);
+  std::vector<std::vector<int64_t>> cols(5, std::vector<int64_t>(kRows));
+  for (size_t i = 0; i < kRows; ++i) {
+    cols[0][i] = static_cast<int64_t>(i);  // Sorted: a range is contiguous.
+    cols[1][i] = rng.Uniform(250, 9000);
+    cols[2][i] = rng.Bernoulli(0.6) ? 250 : 0;
+    cols[3][i] = rng.Bernoulli(0.1) ? 125 : 0;
+    const double u = rng.NextDouble();
+    cols[4][i] = u < 0.005  ? rng.Uniform(1 << 20, 1 << 21)  // Outlier.
+                 : u < 0.3  ? cols[1][i]
+                 : u < 0.9  ? cols[1][i] + cols[2][i]
+                 : u < 0.95 ? cols[1][i] + cols[3][i]
+                            : cols[1][i] + cols[2][i] + cols[3][i];
+  }
+  Table table;
+  for (size_t c = 0; c < cols.size(); ++c) {
+    ASSERT_TRUE(
+        table.AddColumn(Column::Int64("c" + std::to_string(c), cols[c]))
+            .ok());
+  }
+  CompressionPlan plan = CompressionPlan::AllAuto(cols.size());
+  plan.block_rows = kBlockRows;
+  ColumnPlan& total = plan.columns[4];
+  total.auto_vertical = false;
+  total.scheme = enc::Scheme::kMultiRef;
+  total.formulas.groups = {{1}, {2}, {3}};
+  total.formulas.formulas = {0b001, 0b011, 0b101, 0b111};
+  total.formulas.code_bits = 2;
+  auto compressed = CorraCompressor::Compress(table, plan);
+  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
+  for (size_t b = 0; b < compressed.value().num_blocks(); ++b) {
+    const Block& block = compressed.value().block(b);
+    ASSERT_EQ(block.column(4).scheme(), enc::Scheme::kMultiRef);
+    for (size_t c : {2, 3}) {  // The bit-plane path's reference shape.
+      ASSERT_EQ(block.column(c).scheme(), enc::Scheme::kDict);
+      ASSERT_EQ(static_cast<const enc::DictColumn&>(block.column(c))
+                    .bit_width(),
+                1);
+    }
+  }
+  const std::vector<int64_t> decoded = compressed.value().DecodeColumn(4);
+  const std::string path =
+      ::testing::TempDir() + "corra_serve_multiref_sum_test.corf";
+  ASSERT_TRUE(WriteCompressedTable(compressed.value(), path).ok());
+  auto reader = TableReader::Open(path, std::make_shared<BlockCache>());
+  ASSERT_TRUE(reader.ok());
+  ScanService service(ScanService::Options{.num_threads = 2});
+  // Rows [lo, hi]: inside block 0 from local row 37; inside block 1 from
+  // local row 37; from local row 1000 of block 0 across all of block 1
+  // into block 2.
+  const std::pair<int64_t, int64_t> windows[] = {
+      {37, 2100}, {2537, 4444}, {1000, 5555}};
+  for (const auto& [lo, hi] : windows) {
+    SCOPED_TRACE(std::to_string(lo) + ".." + std::to_string(hi));
+    ASSERT_NE(lo % 64, 0);
+    uint64_t expected = 0;
+    for (int64_t row = lo; row <= hi; ++row) {
+      expected += static_cast<uint64_t>(decoded[static_cast<size_t>(row)]);
+    }
+    ScanRequest request;
+    request.filter_column = 0;
+    request.filter_lo = lo;
+    request.filter_hi = hi;
+    request.aggregate = AggregateOp::kSum;
+    request.aggregate_column = 4;
+    auto result = service.Execute(*reader.value(), request);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().rows_matched, static_cast<size_t>(hi - lo + 1));
+    EXPECT_EQ(result.value().agg_sum, static_cast<int64_t>(expected));
   }
   std::remove(path.c_str());
 }

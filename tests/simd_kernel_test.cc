@@ -637,6 +637,115 @@ TEST(SparseDecodeKernelTest, GatherBitsAllWidthsAndPositions) {
   }
 }
 
+// Begin offsets and lengths around 64-value group boundaries, for the
+// bit-plane kernels' head and tail masks.
+constexpr size_t kPlaneBegins[] = {0, 1, 2, 31, 32, 63, 64, 65, 127, 128, 129};
+constexpr size_t kPlaneLengths[] = {0,  1,  2,   31,  63,  64,
+                                    65, 127, 128, 129, 191, 200};
+
+TEST(BitPlaneKernelTest, CountValuesMatchesScalarAndModel) {
+  for (int width : {1, 2}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const auto values =
+        RandomValues(width, kSweepCount, 900 + static_cast<uint64_t>(width));
+    BitWriter writer(width);
+    writer.AppendAll(values);
+    const auto bytes = std::move(writer).Finish();
+    for (size_t begin : kPlaneBegins) {
+      for (size_t len : kPlaneLengths) {
+        if (begin + len > kSweepCount) {
+          continue;
+        }
+        SCOPED_TRACE("begin=" + std::to_string(begin) +
+                     " len=" + std::to_string(len));
+        uint64_t model[4] = {0, 0, 0, 0};
+        for (size_t i = begin; i < begin + len; ++i) {
+          ++model[values[i]];
+        }
+        uint64_t got[4] = {0, 0, 0, 0};
+        uint64_t scalar[4] = {0, 0, 0, 0};
+        simd::CountValues(bytes.data(), width, begin, len, got);
+        simd::CountValuesScalar(bytes.data(), width, begin, len, scalar);
+        for (size_t v = 0; v < (size_t{1} << width); ++v) {
+          ASSERT_EQ(got[v], model[v]) << "v=" << v;
+          ASSERT_EQ(scalar[v], model[v]) << "v=" << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(BitPlaneKernelTest, CountSelectedBitsMatchesScalarAndModel) {
+  const auto bits = RandomValues(1, kSweepCount, 950);
+  BitWriter bit_writer(1);
+  bit_writer.AppendAll(bits);
+  const auto bit_bytes = std::move(bit_writer).Finish();
+  for (int code_bits : {1, 2}) {
+    SCOPED_TRACE("code_bits=" + std::to_string(code_bits));
+    const auto codes = RandomValues(code_bits, kSweepCount,
+                                    960 + static_cast<uint64_t>(code_bits));
+    BitWriter code_writer(code_bits);
+    code_writer.AppendAll(codes);
+    const auto code_bytes = std::move(code_writer).Finish();
+    // Every subset of the 2^code_bits codes.
+    for (uint32_t members = 0; members < (1u << (1u << code_bits));
+         ++members) {
+      for (size_t begin : kPlaneBegins) {
+        for (size_t len : kPlaneLengths) {
+          if (begin + len > kSweepCount) {
+            continue;
+          }
+          SCOPED_TRACE("members=" + std::to_string(members) +
+                       " begin=" + std::to_string(begin) +
+                       " len=" + std::to_string(len));
+          uint64_t model[2] = {0, 0};
+          for (size_t i = begin; i < begin + len; ++i) {
+            if ((members >> codes[i]) & 1u) {
+              ++model[bits[i]];
+            }
+          }
+          uint64_t got[2] = {~uint64_t{0}, ~uint64_t{0}};
+          uint64_t scalar[2] = {~uint64_t{0}, ~uint64_t{0}};
+          simd::CountSelectedBits(code_bytes.data(), code_bits,
+                                  bit_bytes.data(), begin, len, members, got);
+          simd::CountSelectedBitsScalar(code_bytes.data(), code_bits,
+                                        bit_bytes.data(), begin, len, members,
+                                        scalar);
+          ASSERT_EQ(got[0], model[0]);
+          ASSERT_EQ(got[1], model[1]);
+          ASSERT_EQ(scalar[0], model[0]);
+          ASSERT_EQ(scalar[1], model[1]);
+        }
+      }
+    }
+  }
+}
+
+TEST(BitPlaneKernelTest, BitReaderSumMatchesModelAtEveryWidth) {
+  for (int width : {0, 1, 2, 3, 7, 17, 32, 33, 58, 64}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const auto values =
+        RandomValues(width, kSweepCount, 980 + static_cast<uint64_t>(width));
+    BitWriter writer(width);
+    writer.AppendAll(values);
+    const auto bytes = std::move(writer).Finish();
+    const BitReader reader(bytes.data(), width, kSweepCount);
+    for (size_t begin : kPlaneBegins) {
+      for (size_t len : kPlaneLengths) {
+        if (begin + len > kSweepCount) {
+          continue;
+        }
+        uint64_t model = 0;  // Wraps at width 64.
+        for (size_t i = begin; i < begin + len; ++i) {
+          model += values[i];
+        }
+        ASSERT_EQ(reader.Sum(begin, len), model)
+            << "begin=" << begin << " len=" << len;
+      }
+    }
+  }
+}
+
 TEST(DispatchTest, BackendNameIsConsistent) {
   const simd::Backend backend = simd::ActiveBackend();
   if (backend == simd::Backend::kScalar) {
