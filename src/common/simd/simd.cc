@@ -30,31 +30,12 @@ bool CpuHasAvx2() {
 #endif
 }
 
-bool CpuHasBmi2AndPopcnt() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("popcnt");
-#else
-  return false;
-#endif
-}
-
 const KernelTable& SelectTable() {
-  const KernelTable* avx2 = Avx2Table();
-  if (avx2 == nullptr || !CpuHasAvx2() || ForceScalarFromEnv()) {
-    return ScalarTable();
-  }
-  if (CpuHasBmi2AndPopcnt()) {
+  if (const KernelTable* avx2 = Avx2Table();
+      avx2 != nullptr && CpuHasAvx2() && !ForceScalarFromEnv()) {
     return *avx2;
   }
-  // The AVX2 bit-plane kernels use BMI2 pext and POPCNT; without them
-  // those two entries fall back to the scalar twins.
-  static const KernelTable avx2_without_bmi2 = [avx2] {
-    KernelTable table = *avx2;
-    table.count_values = ScalarTable().count_values;
-    table.count_selected_bits = ScalarTable().count_selected_bits;
-    return table;
-  }();
-  return avx2_without_bmi2;
+  return ScalarTable();
 }
 
 }  // namespace

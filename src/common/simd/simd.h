@@ -299,8 +299,8 @@ void GatherBitsScalar(const uint8_t* data, int bit_width,
 // Counting kernels over 1- and 2-bit packed streams that never unpack a
 // value: each 64-value group is split into bit planes (value bit 0 and
 // value bit 1 of all 64 values, one word each) and counted with
-// popcounts. The AVX2 table splits 2-bit groups with BMI2 pext and is
-// only used for these kernels when the CPU also has BMI2 and POPCNT.
+// popcounts. Both tables run one portable source
+// (bit_plane_kernels.h); the AVX2 build of it counts with POPCNT.
 // `data` must carry bit_util::kDecodePadBytes of readable slack.
 
 /// counts[v] = how many of the values [begin, begin + count) of a 1- or

@@ -31,6 +31,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/simd/bit_plane_kernels.h"
 #include "common/simd/kernel_table.h"
 
 namespace corra::simd::internal {
@@ -826,101 +827,6 @@ void GatherBitsAvx2(const uint8_t* data, int bit_width, const uint32_t* rows,
   }
 }
 
-// Bit-plane kernels: BMI2 pext splits a 2-bit group into its planes and
-// POPCNT counts them. Dispatch installs these two entries only when the
-// CPU has BMI2 and POPCNT too (simd.cc); the rest of this file stays
-// plain -mavx2.
-#pragma GCC push_options
-#pragma GCC target("bmi2,popcnt")
-
-// Calls body(group, mask) for every 64-value group overlapping [begin,
-// begin + count); `mask` selects the group's values inside the range.
-template <typename Body>
-inline void ForEachGroup64(size_t begin, size_t count, Body&& body) {
-  if (count == 0) {
-    return;
-  }
-  const size_t end = begin + count;
-  const size_t first = begin >> 6;
-  const size_t last = (end - 1) >> 6;
-  for (size_t g = first; g <= last; ++g) {
-    uint64_t mask = ~uint64_t{0};
-    if (g == first) {
-      mask &= ~uint64_t{0} << (begin & 63);
-    }
-    if (g == last) {
-      mask &= ~uint64_t{0} >> (63 - ((end - 1) & 63));
-    }
-    body(g, mask);
-  }
-}
-
-// The bit planes of 64-value group `g` of a 1- or 2-bit stream: bit j
-// of *lo is value j's bit 0, bit j of *hi its bit 1 (0 at width 1).
-inline void SplitPlanesBmi2(const uint8_t* data, int bit_width, size_t g,
-                            uint64_t* lo, uint64_t* hi) {
-  constexpr uint64_t kEven = 0x5555555555555555ULL;
-  const uint8_t* group = data + 8 * static_cast<size_t>(bit_width) * g;
-  uint64_t a;
-  std::memcpy(&a, group, sizeof(a));
-  if (bit_width == 1) {
-    *lo = a;
-    *hi = 0;
-    return;
-  }
-  uint64_t b;
-  std::memcpy(&b, group + 8, sizeof(b));
-  *lo = _pext_u64(a, kEven) | (_pext_u64(b, kEven) << 32);
-  *hi = _pext_u64(a, kEven << 1) | (_pext_u64(b, kEven << 1) << 32);
-}
-
-inline uint64_t Popcount(uint64_t x) {
-  return static_cast<uint64_t>(_mm_popcnt_u64(x));
-}
-
-void CountValuesBmi2(const uint8_t* data, int bit_width, size_t begin,
-                     size_t count, uint64_t* counts) {
-  uint64_t n1 = 0, n2 = 0, n3 = 0;
-  ForEachGroup64(begin, count, [&](size_t g, uint64_t mask) {
-    uint64_t lo, hi;
-    SplitPlanesBmi2(data, bit_width, g, &lo, &hi);
-    n1 += Popcount(lo & ~hi & mask);
-    n2 += Popcount(~lo & hi & mask);
-    n3 += Popcount(lo & hi & mask);
-  });
-  counts[0] = count - n1 - n2 - n3;
-  counts[1] = n1;
-  if (bit_width == 2) {
-    counts[2] = n2;
-    counts[3] = n3;
-  }
-}
-
-void CountSelectedBitsBmi2(const uint8_t* codes, int code_bits,
-                           const uint8_t* bits, size_t begin, size_t count,
-                           uint32_t members, uint64_t* selected) {
-  uint64_t t[4];
-  for (uint32_t c = 0; c < 4; ++c) {
-    t[c] = uint64_t{0} - ((members >> c) & 1u);
-  }
-  uint64_t zeros = 0, ones = 0;
-  ForEachGroup64(begin, count, [&](size_t g, uint64_t mask) {
-    uint64_t lo, hi;
-    SplitPlanesBmi2(codes, code_bits, g, &lo, &hi);
-    const uint64_t member = ((~lo & ~hi & t[0]) | (lo & ~hi & t[1]) |
-                             (~lo & hi & t[2]) | (lo & hi & t[3])) &
-                            mask;
-    uint64_t b;
-    std::memcpy(&b, bits + 8 * g, sizeof(b));
-    zeros += Popcount(member & ~b);
-    ones += Popcount(member & b);
-  });
-  selected[0] = zeros;
-  selected[1] = ones;
-}
-
-#pragma GCC pop_options
-
 constexpr KernelTable MakeAvx2Table() {
   KernelTable table{};
   for (int w = 0; w <= kMaxKernelWidth; ++w) {
@@ -944,8 +850,8 @@ constexpr KernelTable MakeAvx2Table() {
   table.delta_gather_inline = &DeltaGatherInlineAvx2;
   table.expand_runs = &ExpandRunsAvx2;
   table.gather_bits = &GatherBitsAvx2;
-  table.count_values = &CountValuesBmi2;
-  table.count_selected_bits = &CountSelectedBitsBmi2;
+  table.count_values = &CountValuesPortable;
+  table.count_selected_bits = &CountSelectedBitsPortable;
   table.name = "avx2";
   return table;
 }

@@ -392,8 +392,18 @@ uint64_t MultiRefColumn::SumRange(size_t row_begin, size_t count) const {
   // sum over the reference columns, each summed in its own compressed
   // domain. Outlier rows are corrected at the end. Wraps like the
   // ranged decode.
+  for (size_t g = 0; g < bound_groups_.size(); ++g) {
+    if ((masked_groups_ >> g) & 1u) {
+      for (const enc::EncodedColumn* col : bound_groups_[g]) {
+        if (PlaneColumn(col) == nullptr) {
+          // Only bit-plane columns are summed per code; anything else
+          // takes the decode-and-fold.
+          return EncodedColumn::SumRange(row_begin, count);
+        }
+      }
+    }
+  }
   uint64_t sum = 0;
-  bool fold = false;  // A masked column needs the morsel fold below.
   const size_t num_codes = table_.formulas.size();
   for (size_t g = 0; g < bound_groups_.size(); ++g) {
     if ((always_groups_ >> g) & 1u) {
@@ -406,19 +416,15 @@ uint64_t MultiRefColumn::SumRange(size_t row_begin, size_t count) const {
     if (!((masked_groups_ >> g) & 1u)) {
       continue;  // No formula adds it.
     }
+    uint32_t members = 0;  // Codes (at most 4) whose formula adds g.
+    for (size_t code = 0; code < num_codes; ++code) {
+      members |= static_cast<uint32_t>((table_.formulas[code] >> g) & 1u)
+                 << code;
+    }
     for (const enc::EncodedColumn* col : bound_groups_[g]) {
-      const enc::DictColumn* dict = PlaneColumn(col);
-      if (dict == nullptr) {
-        fold = true;
-        continue;
-      }
       // A 1-bit Dict under 1- or 2-bit codes: count the selected rows
       // by their dictionary bit straight from the bit planes.
-      uint32_t members = 0;  // Codes (at most 4) whose formula adds g.
-      for (size_t code = 0; code < num_codes; ++code) {
-        members |= static_cast<uint32_t>((table_.formulas[code] >> g) & 1u)
-                   << code;
-      }
+      const enc::DictColumn* dict = PlaneColumn(col);
       uint64_t selected[2];
       simd::CountSelectedBits(bytes_.data(), table_.code_bits,
                               dict->code_data(), row_begin, count, members,
@@ -428,41 +434,6 @@ uint64_t MultiRefColumn::SumRange(size_t row_begin, size_t count) const {
       for (size_t bit = 0; bit < std::min<size_t>(2, values.size()); ++bit) {
         sum += selected[bit] * static_cast<uint64_t>(values[bit]);
       }
-    }
-  }
-  if (fold) {
-    // Any other masked column: decode the codes once per morsel and fold
-    // value & lane, without writing the combined column.
-    uint64_t codes[enc::kMorselRows];
-    uint64_t lanes[enc::kMorselRows];
-    int64_t values[enc::kMorselRows];
-    for (size_t begin = row_begin, left = count; left > 0;) {
-      const size_t len = std::min(left, enc::kMorselRows);
-      codes_.DecodeRange(begin, len, codes);
-      for (size_t g = 0; g < bound_groups_.size(); ++g) {
-        if (!((masked_groups_ >> g) & 1u)) {
-          continue;
-        }
-        const uint64_t* group_lanes = lane_masks_.data() + g * num_codes;
-        bool lanes_ready = false;
-        for (const enc::EncodedColumn* col : bound_groups_[g]) {
-          if (PlaneColumn(col) != nullptr) {
-            continue;
-          }
-          if (!lanes_ready) {
-            for (size_t i = 0; i < len; ++i) {
-              lanes[i] = group_lanes[codes[i]];
-            }
-            lanes_ready = true;
-          }
-          col->DecodeRange(begin, len, values);
-          for (size_t i = 0; i < len; ++i) {
-            sum += static_cast<uint64_t>(values[i]) & lanes[i];
-          }
-        }
-      }
-      begin += len;
-      left -= len;
     }
   }
   // An outlier row holds its own value, not its placeholder formula's:

@@ -29,9 +29,9 @@
 // contributes its value only on rows whose code selects it. For codes
 // of at most 2 bits and a 1-bit Dict column (congestion_surcharge and
 // airport_fee in taxi), those rows are counted per dictionary value
-// from the bit planes of both streams; any other such column is folded
-// as value & lane over morsels, with the codes decoded once per morsel.
-// Each outlier in the range then swaps its formula's value for its own.
+// from the bit planes of both streams. Each outlier in the range then
+// swaps its formula's value for its own. A MultiRef with any other
+// column in such a group sums by decode-and-fold instead.
 
 #ifndef CORRA_CORE_MULTI_REF_ENCODING_H_
 #define CORRA_CORE_MULTI_REF_ENCODING_H_

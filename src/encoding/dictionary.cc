@@ -116,45 +116,21 @@ void DictColumn::DecodeRange(size_t row_begin, size_t count,
 
 uint64_t DictColumn::SumRange(size_t row_begin, size_t count) const {
   const int width = reader_.bit_width();
-  if (count == 0) {
-    return 0;
+  if (width > 2) {
+    return EncodedColumn::SumRange(row_begin, count);
   }
-  if (width <= 2) {
-    // Count each code from the bit planes, then weigh the counts by the
-    // dictionary. Deserialize bounds every code below dict_.size().
-    uint64_t counts[4] = {count, 0, 0, 0};
-    if (width > 0) {
-      simd::CountValues(bytes_.data(), width, row_begin, count, counts);
-    }
-    const size_t codes = std::min(dict_.size(), size_t{1} << width);
-    uint64_t sum = 0;
-    for (size_t c = 0; c < codes; ++c) {
-      sum += counts[c] * static_cast<uint64_t>(dict_[c]);
-    }
-    return sum;
+  // Count each code from the bit planes, then weigh the counts by the
+  // dictionary. Deserialize bounds every code below dict_.size().
+  uint64_t counts[4] = {count, 0, 0, 0};
+  if (width > 0 && count > 0) {
+    simd::CountValues(bytes_.data(), width, row_begin, count, counts);
   }
-  // Unpack a chunk of codes, then look up and fold in one pass: the
-  // values are never stored.
-  uint64_t codes[kMorselRows];
-  const int64_t* dict = dict_.data();
-  uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  while (count > 0) {
-    const size_t len = count < kMorselRows ? count : kMorselRows;
-    reader_.DecodeRange(row_begin, len, codes);
-    size_t i = 0;
-    for (; i + 4 <= len; i += 4) {
-      s0 += static_cast<uint64_t>(dict[codes[i]]);
-      s1 += static_cast<uint64_t>(dict[codes[i + 1]]);
-      s2 += static_cast<uint64_t>(dict[codes[i + 2]]);
-      s3 += static_cast<uint64_t>(dict[codes[i + 3]]);
-    }
-    for (; i < len; ++i) {
-      s0 += static_cast<uint64_t>(dict[codes[i]]);
-    }
-    row_begin += len;
-    count -= len;
+  const size_t codes = std::min(dict_.size(), size_t{1} << width);
+  uint64_t sum = 0;
+  for (size_t c = 0; c < codes; ++c) {
+    sum += counts[c] * static_cast<uint64_t>(dict_[c]);
   }
-  return s0 + s1 + s2 + s3;
+  return sum;
 }
 
 void DictColumn::Serialize(BufferWriter* writer) const {
